@@ -119,6 +119,8 @@ func CustomInstanceType(name string, cores, ramGB int) InstanceType {
 
 // ReuseRegistry stores trained Recommender models for the online
 // model-reuse scheme; share one registry across Tune calls to enable it.
+// Each call commits its trained model under the workload's name, replacing
+// an earlier one only when its fitness is strictly better.
 type ReuseRegistry = core.ReuseRegistry
 
 // NewReuseRegistry returns an empty model registry.
@@ -421,7 +423,7 @@ func TuneContext(ctx context.Context, req Request) (*Result, error) {
 		}
 		return nil, err
 	}
-	return finish(s, h)
+	return finish(s, h, req.Registry)
 }
 
 // Resume continues a checkpointed run from the snapshot in the request's
@@ -468,7 +470,7 @@ func ResumeContext(ctx context.Context, req Request) (*Result, error) {
 		}
 		return nil, err
 	}
-	return finish(s, h)
+	return finish(s, h, req.Registry)
 }
 
 // toTunerRequest lowers the public request into the session request.
@@ -494,25 +496,23 @@ func toTunerRequest(req Request) tuner.Request {
 
 // newCore builds the hybrid tuner from the public request.
 func newCore(req Request) *core.Hunter {
-	opts := core.Options{
+	return core.New(core.Options{
 		DisableGA:  req.DisableGA,
 		DisablePCA: req.DisablePCA,
 		DisableRF:  req.DisableRF,
 		DisableFES: req.DisableFES,
-	}
-	// Options.Registry is an interface; assigning a nil *ReuseRegistry
-	// directly would produce a non-nil interface that the phase machine
-	// would then probe (and panic on).
-	if req.Registry != nil {
-		opts.Registry = req.Registry
-	}
-	return core.New(opts)
+		Registry:   req.Registry,
+	})
 }
 
-// finish assembles the result. A batch run deploys the best verified
+// finish commits the trained model to the request's registry and
+// assembles the result. A batch run deploys the best verified
 // configuration now; a safe online run already deployed during tuning, so
 // the result reports what the safety loop left on the user instance.
-func finish(s *tuner.Session, h *core.Hunter) (*Result, error) {
+func finish(s *tuner.Session, h *core.Hunter, reg *ReuseRegistry) (*Result, error) {
+	if m, ok := h.Model(); ok {
+		reg.Commit(m)
+	}
 	recTime, _ := s.Curve().RecommendationTime(s.DefaultPerf, s.Alpha, 0.98)
 	res := &Result{
 		DefaultPerf:        s.DefaultPerf,

@@ -6,7 +6,6 @@ import (
 
 	"github.com/hunter-cdb/hunter/internal/knob"
 	"github.com/hunter-cdb/hunter/internal/metrics"
-	"github.com/hunter-cdb/hunter/internal/ml/ddpg"
 	"github.com/hunter-cdb/hunter/internal/simdb"
 	"github.com/hunter-cdb/hunter/internal/tuner"
 	"github.com/hunter-cdb/hunter/internal/workload"
@@ -116,31 +115,6 @@ func TestAblationCombinationsRun(t *testing.T) {
 	}
 }
 
-func TestReuseRegistryMatching(t *testing.T) {
-	r := NewReuseRegistry()
-	if _, ok := r.Match([]string{"a", "b"}, 13); ok {
-		t.Fatal("empty registry must not match")
-	}
-	snap := dummySnapshot(13, 2)
-	r.Store("wl-1", []string{"b", "a"}, 13, snap)
-	if r.Len() != 1 {
-		t.Fatalf("len %d", r.Len())
-	}
-	// Matching is order-insensitive on knob names.
-	if _, ok := r.Match([]string{"a", "b"}, 13); !ok {
-		t.Fatal("same key knobs + dim must match")
-	}
-	if _, ok := r.Match([]string{"a", "b"}, 14); ok {
-		t.Fatal("different state dim must not match")
-	}
-	if _, ok := r.Match([]string{"a", "c"}, 13); ok {
-		t.Fatal("different knob set must not match")
-	}
-	if tags := r.Tags(); len(tags) != 1 || tags[0] != "wl-1" {
-		t.Fatalf("tags %v", tags)
-	}
-}
-
 func TestModelReuseEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two end-to-end runs")
@@ -149,11 +123,16 @@ func TestModelReuseEndToEnd(t *testing.T) {
 	// The budget must outlast phase 1 (140 valid samples ≈ 7 h) so the
 	// Recommender exists to be stored.
 	s1 := shortSession(t, 16*time.Hour, 70)
-	if err := New(Options{Registry: registry, ReuseTag: "first"}).Tune(s1); err != nil {
+	trained := New(Options{Registry: registry, ReuseTag: "first"})
+	if err := trained.Tune(s1); err != nil {
 		t.Fatal(err)
 	}
-	if registry.Len() != 1 {
-		t.Fatalf("registry holds %d models after training", registry.Len())
+	if registry.Len() != 0 {
+		t.Fatalf("the run wrote %d models to the registry; only its caller commits", registry.Len())
+	}
+	m, ok := trained.Model()
+	if !ok || m.Signature != "first" || !registry.Commit(m) || registry.Len() != 1 {
+		t.Fatalf("training produced no committable model: %v, signature %q, registry holds %d", ok, m.Signature, registry.Len())
 	}
 	// Second run on the same workload shape: should match and fine-tune.
 	s2 := shortSession(t, 16*time.Hour, 71)
@@ -203,10 +182,6 @@ func TestNameAndInterfaces(t *testing.T) {
 	if New(Options{}).Name() != "HUNTER" {
 		t.Fatal("name wrong")
 	}
-}
-
-func dummySnapshot(stateDim, actionDim int) ddpg.Snapshot {
-	return ddpg.Snapshot{StateDim: stateDim, ActionDim: actionDim}
 }
 
 var _ = simdb.MySQL

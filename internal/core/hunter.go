@@ -70,14 +70,11 @@ type Options struct {
 
 	// Registry enables the online model-reuse scheme (§4): after the
 	// Search Space Optimizer runs, a matching historical model is loaded
-	// and fine-tuned; on completion this session's model is stored. Any
-	// ModelStore works here — a *ReuseRegistry for single-session use, or
-	// the fleet's sharded cross-tenant store. Leave nil to disable reuse;
-	// never assign a nil *ReuseRegistry (a non-nil interface wrapping a
-	// nil pointer would be probed).
-	Registry ModelStore
-	// ReuseTag names this workload in the registry (defaults to the
-	// workload name).
+	// and fine-tuned. The run only reads the registry; the caller commits
+	// the trained model (Hunter.Model). Nil disables reuse.
+	Registry *ReuseRegistry
+	// ReuseTag is this workload's signature in the registry (defaults to
+	// the workload name).
 	ReuseTag string
 }
 
@@ -107,6 +104,7 @@ type Hunter struct {
 	lastPCADim   int
 	lastTopKnobs []string
 	reused       bool
+	model        *Model
 }
 
 // New creates a HUNTER tuner with the given options.
@@ -124,6 +122,25 @@ func (h *Hunter) TopKnobs() []string { return append([]string(nil), h.lastTopKno
 // Reused reports whether the last run fine-tuned a historical model.
 func (h *Hunter) Reused() bool { return h.reused }
 
+// Model returns the Recommender the last run trained, for the caller to
+// commit to the registry. It reports false when no registry was configured
+// or the run ended before a Recommender existed.
+func (h *Hunter) Model() (Model, bool) {
+	if h.model == nil {
+		return Model{}, false
+	}
+	return *h.model, true
+}
+
+// signature is the session's key in the registry: ReuseTag, or the name
+// of the workload in effect (drift can change it mid-run).
+func (h *Hunter) signature(s *tuner.Session) string {
+	if h.opts.ReuseTag != "" {
+		return h.opts.ReuseTag
+	}
+	return s.Req.Workload.Name
+}
+
 // Tune implements tuner.Tuner: the three-phase workflow of §2.1.
 func (h *Hunter) Tune(s *tuner.Session) error { return h.run(s, nil) }
 
@@ -133,7 +150,7 @@ func (h *Hunter) Tune(s *tuner.Session) error { return h.run(s, nil) }
 // always carry the live phase state. tuner.ErrStopRequested (the
 // stop-after-checkpoint hook) propagates to the caller.
 func (h *Hunter) run(s *tuner.Session, st *algoState) error {
-	h.lastPCADim, h.lastTopKnobs, h.reused = 0, nil, false
+	h.lastPCADim, h.lastTopKnobs, h.reused, h.model = 0, nil, false, nil
 	m := &machine{h: h, firstPass: true}
 	if st != nil {
 		h.reused = st.Reused
@@ -203,8 +220,8 @@ func (h *Hunter) run(s *tuner.Session, st *algoState) error {
 				return err
 			}
 			if h.opts.Registry != nil && !h.reused {
-				if snap, ok := h.opts.Registry.Match(opt.Space().Names(), opt.StateDim()); ok {
-					if err := rec.Restore(snap); err == nil {
+				if donor, ok := h.opts.Registry.Match(h.signature(s), opt.Space().Names(), opt.StateDim()); ok {
+					if err := rec.Restore(donor.Snap); err == nil {
 						h.reused = true
 					}
 				}
@@ -226,11 +243,17 @@ func (h *Hunter) run(s *tuner.Session, st *algoState) error {
 		break
 	}
 	if h.opts.Registry != nil && rec != nil && opt != nil {
-		tag := h.opts.ReuseTag
-		if tag == "" {
-			tag = s.Req.Workload.Name
+		sig := h.signature(s)
+		h.model = &Model{
+			Signature: sig,
+			Tag:       sig,
+			KnobNames: opt.Space().Names(),
+			StateDim:  opt.StateDim(),
+			Snap:      rec.Snapshot(),
 		}
-		h.opts.Registry.Store(tag, opt.Space().Names(), opt.StateDim(), rec.Snapshot())
+		if best, ok := s.Best(); ok {
+			h.model.Fitness = s.Fitness(best.Perf)
+		}
 	}
 	return nil
 }

@@ -1,165 +1,138 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 
 	"github.com/hunter-cdb/hunter/internal/checkpoint"
 	"github.com/hunter-cdb/hunter/internal/ml/ddpg"
 )
 
-// ModelStore is the contract between the phase machine and whatever holds
-// historical Recommender models. The single-session path uses a
-// *ReuseRegistry directly; the fleet substitutes a sharded, workload-keyed
-// store so thousands of tenants can probe and publish without serializing
-// on one lock. Implementations must be safe for concurrent use, and the
-// snapshots they hand out must not alias mutable internal state.
-type ModelStore interface {
-	// Match returns a historical snapshot compatible with the probe's key
-	// knobs and state dimension, if one exists.
-	Match(knobNames []string, stateDim int) (ddpg.Snapshot, bool)
-	// Store records a trained model under its search-space signature.
-	Store(tag string, knobNames []string, stateDim int, snap ddpg.Snapshot)
-	// Len reports how many models are held.
-	Len() int
+// Model is one trained Recommender held by a ReuseRegistry: the DDPG
+// snapshot plus everything a prospective borrower needs to judge
+// compatibility (knob set, state dimension) and quality (the donor's final
+// fitness).
+type Model struct {
+	Signature string // workload signature: a workload name, or "mysql/tpcc" in a fleet
+	Tag       string // donor name: the signature, or a fleet tenant
+	KnobNames []string
+	StateDim  int
+	Fitness   float64
+	Snap      ddpg.Snapshot
 }
 
-var _ ModelStore = (*ReuseRegistry)(nil)
-
-// copySnapshot deep-copies a DDPG snapshot so callers and the registry
-// never share weight slices.
-func copySnapshot(s ddpg.Snapshot) ddpg.Snapshot {
-	cp := s
-	cp.Actor = append([]float64(nil), s.Actor...)
-	cp.Critic = append([]float64(nil), s.Critic...)
-	cp.ActorT = append([]float64(nil), s.ActorT...)
-	cp.CriticT = append([]float64(nil), s.CriticT...)
-	return cp
+// clone deep-copies a model so callers and the registry never share knob
+// or weight slices.
+func (m Model) clone() Model {
+	m.KnobNames = append([]string(nil), m.KnobNames...)
+	s := &m.Snap
+	s.Actor = append([]float64(nil), s.Actor...)
+	s.Critic = append([]float64(nil), s.Critic...)
+	s.ActorT = append([]float64(nil), s.ActorT...)
+	s.CriticT = append([]float64(nil), s.CriticT...)
+	return m
 }
 
 // ReuseRegistry implements the matching module of the online model-reuse
 // scheme (§4): after the Search Space Optimizer runs, the registry is
 // probed for a historical workload with the same key knobs and the same
 // compressed-state dimension; on a hit the stored Recommender parameters
-// are loaded and fine-tuned.
+// are loaded and fine-tuned. It holds one Model per signature and is the
+// only model store: single sessions and the multi-tenant fleet share it.
 //
 // The paper requires the key knobs and state dimension to be "the same";
-// since RF rankings carry sampling noise, matching here requires the state
-// dimensions to be equal and the key-knob sets to overlap almost entirely
-// (Jaccard ≥ minJaccard), preferring exact matches. Restoring a snapshot
-// additionally requires identical network shapes, which equal dimensions
-// guarantee. The registry is safe for concurrent use.
+// since RF rankings carry sampling noise, a model is compatible when the
+// state dimensions are equal, its action dimension equals the probe's
+// knob count, and the key-knob sets overlap almost entirely (Jaccard ≥
+// minJaccard). Restoring a snapshot additionally requires identical
+// network shapes, which equal dimensions guarantee. The phase machine only
+// reads the registry; whoever runs the session commits the trained model
+// (Hunter.Model). The registry is safe for concurrent use.
 type ReuseRegistry struct {
 	mu      sync.RWMutex
-	entries map[string]reuseEntry
+	entries map[string]Model
 }
 
 // minJaccard is the key-knob set overlap required for a match.
 const minJaccard = 0.75
 
-type reuseEntry struct {
-	tag      string
-	stateDim int
-	knobs    map[string]bool
-	snap     ddpg.Snapshot
-}
-
 // NewReuseRegistry returns an empty registry.
 func NewReuseRegistry() *ReuseRegistry {
-	return &ReuseRegistry{entries: make(map[string]reuseEntry)}
+	return &ReuseRegistry{entries: make(map[string]Model)}
 }
 
-// key canonicalizes the exact signature.
-func reuseKey(knobNames []string, stateDim int) string {
-	names := append([]string(nil), knobNames...)
-	sort.Strings(names)
-	return fmt.Sprintf("%d|%s", stateDim, strings.Join(names, ","))
-}
-
-// Store records a trained model under its search-space signature. The
-// snapshot is deep-copied on the way in, so the caller may keep training
-// the live network afterwards without racing readers of the registry.
-func (r *ReuseRegistry) Store(tag string, knobNames []string, stateDim int, snap ddpg.Snapshot) {
-	set := make(map[string]bool, len(knobNames))
+// Match returns a model to warm-start a probe with the given signature,
+// key knobs and state dimension: the model stored under the exact
+// signature if it is compatible, otherwise the compatible model with the
+// highest key-knob overlap, ties broken by highest fitness, then by lowest
+// signature. The result is a deep copy.
+func (r *ReuseRegistry) Match(signature string, knobNames []string, stateDim int) (Model, bool) {
+	probe := make(map[string]bool, len(knobNames))
 	for _, n := range knobNames {
-		set[n] = true
+		probe[n] = true
 	}
-	r.mu.Lock()
-	r.entries[reuseKey(knobNames, stateDim)] = reuseEntry{tag: tag, stateDim: stateDim, knobs: set, snap: copySnapshot(snap)}
-	r.mu.Unlock()
-}
-
-// Match returns a historical snapshot compatible with the probe's key
-// knobs and state dimension, if one exists. Exact signature matches win;
-// otherwise the entry with the highest key-knob overlap above the
-// threshold is returned. The action dimension must also agree or the
-// snapshot could not be restored.
-func (r *ReuseRegistry) Match(knobNames []string, stateDim int) (ddpg.Snapshot, bool) {
-	_, snap, ok := r.Lookup(knobNames, stateDim)
-	return snap, ok
-}
-
-// Lookup is the concurrency-safe probe path: like Match, but it also
-// reports the tag the winning entry was stored under, and the returned
-// snapshot is deep-copied so many goroutines can restore or mutate their
-// results independently while writers keep publishing.
-func (r *ReuseRegistry) Lookup(knobNames []string, stateDim int) (string, ddpg.Snapshot, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if e, ok := r.entries[reuseKey(knobNames, stateDim)]; ok {
-		return e.tag, copySnapshot(e.snap), true
-	}
-	// Scan in sorted-key order so Jaccard ties resolve the same way on
-	// every run — map iteration order must never pick the winner.
-	keys := make([]string, 0, len(r.entries))
-	for k := range r.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	bestScore := minJaccard
-	var best *reuseEntry
-	for _, k := range keys {
-		e := r.entries[k]
-		if e.stateDim != stateDim || e.snap.ActionDim != len(knobNames) {
-			continue
+	// overlap is m's Jaccard key-knob overlap with the probe, or -1 when m
+	// cannot warm-start it.
+	overlap := func(m *Model) float64 {
+		if m.StateDim != stateDim || m.Snap.ActionDim != len(knobNames) {
+			return -1
 		}
 		inter := 0
-		for _, n := range knobNames {
-			if e.knobs[n] {
+		for _, n := range m.KnobNames {
+			if probe[n] {
 				inter++
 			}
 		}
-		union := len(e.knobs) + len(knobNames) - inter
+		union := len(probe) + len(m.KnobNames) - inter
 		if union == 0 {
+			return -1
+		}
+		if j := float64(inter) / float64(union); j >= minJaccard {
+			return j
+		}
+		return -1
+	}
+
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if m, ok := r.entries[signature]; ok && overlap(&m) >= 0 {
+		return m.clone(), true
+	}
+	// The ranking is a total order, so map iteration order never picks
+	// the winner.
+	var best *Model
+	bestJ := -1.0
+	for _, m := range r.entries {
+		j := overlap(&m)
+		if j < 0 {
 			continue
 		}
-		if j := float64(inter) / float64(union); j >= bestScore {
-			bestScore = j
-			cp := e
-			best = &cp
+		if best == nil || j > bestJ ||
+			j == bestJ && (m.Fitness > best.Fitness || m.Fitness == best.Fitness && m.Signature < best.Signature) {
+			best, bestJ = &m, j
 		}
 	}
 	if best == nil {
-		return "", ddpg.Snapshot{}, false
+		return Model{}, false
 	}
-	return best.tag, copySnapshot(best.snap), true
+	return best.clone(), true
 }
 
-// Tags lists the stored workload tags (diagnostics).
-func (r *ReuseRegistry) Tags() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.tag)
+// Commit records a trained model under its signature. An existing model is
+// replaced only by a strictly better fitness, so commit order among equals
+// does not matter. The model is deep-copied on the way in, so the caller
+// may keep training the live network afterwards. It reports whether the
+// model was accepted.
+func (r *ReuseRegistry) Commit(m Model) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old, ok := r.entries[m.Signature]; ok && old.Fitness >= m.Fitness {
+		return false
 	}
-	sort.Strings(out)
-	return out
+	r.entries[m.Signature] = m.clone()
+	return true
 }
 
 // Len returns the number of stored models.
@@ -169,16 +142,37 @@ func (r *ReuseRegistry) Len() int {
 	return len(r.entries)
 }
 
-// registryDump is the serialized form of the registry.
+// registryDump is the registry's gob shape. It matches the fleet
+// checkpoint's "fleet-store" section as older fleets wrote it, so their
+// snapshots still resume.
 type registryDump struct {
-	Entries map[string]registryEntryDump
+	Entries map[string]Model
 }
 
-type registryEntryDump struct {
-	Tag      string
-	StateDim int
-	Knobs    []string
-	Snap     ddpg.Snapshot
+// SnapshotTo serializes the registry (checkpoint.Snapshotter).
+func (r *ReuseRegistry) SnapshotTo(w io.Writer) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if err := gob.NewEncoder(w).Encode(registryDump{Entries: r.entries}); err != nil {
+		return fmt.Errorf("core: encoding reuse registry: %w", err)
+	}
+	return nil
+}
+
+// RestoreFrom adds the models serialized by SnapshotTo to the registry,
+// replacing any held under the same signature (checkpoint.Restorer). A
+// decode failure leaves the registry untouched.
+func (r *ReuseRegistry) RestoreFrom(rd io.Reader) error {
+	var dump registryDump
+	if err := gob.NewDecoder(rd).Decode(&dump); err != nil {
+		return fmt.Errorf("core: decoding reuse registry: %w", err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for sig, m := range dump.Entries {
+		r.entries[sig] = m
+	}
+	return nil
 }
 
 // registrySection is the registry's section name inside the versioned
@@ -186,28 +180,13 @@ type registryEntryDump struct {
 const registrySection = "reuse-registry"
 
 // Save serializes the registry so trained models survive process restarts
-// — the historical-data reuse of §5. The payload is a gob dump wrapped in
+// — the historical-data reuse of §5. The SnapshotTo payload is wrapped in
 // the repository's versioned checkpoint container, so a load rejects
 // truncated, corrupted or wrong-version files up front instead of
 // mis-decoding them.
 func (r *ReuseRegistry) Save(w io.Writer) error {
-	r.mu.RLock()
-	dump := registryDump{Entries: make(map[string]registryEntryDump, len(r.entries))}
-	for k, e := range r.entries {
-		names := make([]string, 0, len(e.knobs))
-		for n := range e.knobs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		dump.Entries[k] = registryEntryDump{Tag: e.tag, StateDim: e.stateDim, Knobs: names, Snap: e.snap}
-	}
-	r.mu.RUnlock()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(dump); err != nil {
-		return fmt.Errorf("core: encoding reuse registry: %w", err)
-	}
 	cw := checkpoint.NewWriter()
-	if err := cw.AddBytes(registrySection, payload.Bytes()); err != nil {
+	if err := cw.Add(registrySection, r); err != nil {
 		return err
 	}
 	_, err := w.Write(cw.Encode())
@@ -227,22 +206,5 @@ func (r *ReuseRegistry) Load(rd io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: loading reuse registry: %w", err)
 	}
-	raw, err := f.Bytes(registrySection)
-	if err != nil {
-		return fmt.Errorf("core: loading reuse registry: %w", err)
-	}
-	var dump registryDump
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&dump); err != nil {
-		return fmt.Errorf("core: decoding reuse registry: %w", err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, d := range dump.Entries {
-		set := make(map[string]bool, len(d.Knobs))
-		for _, n := range d.Knobs {
-			set[n] = true
-		}
-		r.entries[k] = reuseEntry{tag: d.Tag, stateDim: d.StateDim, knobs: set, snap: d.Snap}
-	}
-	return nil
+	return f.Restore(registrySection, r)
 }

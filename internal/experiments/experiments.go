@@ -231,6 +231,14 @@ func (c Config) scaledSampleTarget() int {
 // runSession creates a session for the panel and runs the named method on
 // it. The returned session is closed by the caller.
 func runSession(cfg Config, p panel, method string, opts core.Options, budget time.Duration, clones int, seedOffset int64) (*tuner.Session, error) {
+	s, _, err := runTuner(cfg, p, method, opts, budget, clones, seedOffset)
+	return s, err
+}
+
+// runTuner is runSession that also returns the tuner, for callers that
+// read its diagnostics. A HUNTER run with a registry commits its trained
+// model there.
+func runTuner(cfg Config, p panel, method string, opts core.Options, budget time.Duration, clones int, seedOffset int64) (*tuner.Session, tuner.Tuner, error) {
 	if method == "HUNTER" && opts.SampleTarget == 0 {
 		opts.SampleTarget = cfg.scaledSampleTarget()
 	}
@@ -246,13 +254,19 @@ func runSession(cfg Config, p panel, method string, opts core.Options, budget ti
 		Status:   cfg.Status,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s on %s: %w", method, p.Name, err)
+		return nil, nil, fmt.Errorf("experiments: %s on %s: %w", method, p.Name, err)
 	}
-	if err := newTuner(method, opts).Tune(s); err != nil {
+	t := newTuner(method, opts)
+	if err := t.Tune(s); err != nil {
 		s.Close()
-		return nil, fmt.Errorf("experiments: %s on %s: %w", method, p.Name, err)
+		return nil, nil, fmt.Errorf("experiments: %s on %s: %w", method, p.Name, err)
 	}
-	return s, nil
+	if h, ok := t.(*core.Hunter); ok {
+		if m, ok := h.Model(); ok {
+			opts.Registry.Commit(m)
+		}
+	}
+	return s, t, nil
 }
 
 // tw is a minimal aligned-column table writer.

@@ -212,7 +212,7 @@ func RunFigure13(cfg Config, w io.Writer) error {
 		di, vi := k/nv, k%nv
 		v := variantsFor(registries[di])[vi]
 		usePanel := panel{Name: "use", Dialect: tpccMySQL().Dialect, Type: mysqlF(), Workload: directions[di].use}
-		s, err := runSession(cfg, usePanel, "HUNTER", v.opts, tuneBudget, v.clones, int64(1750+di*10+vi))
+		s, t, err := runTuner(cfg, usePanel, "HUNTER", v.opts, tuneBudget, v.clones, int64(1750+di*10+vi))
 		if err != nil {
 			return err
 		}
@@ -224,8 +224,8 @@ func RunFigure13(cfg Config, w io.Writer) error {
 		r.p95 = fmt.Sprintf("%.1f", best.Perf.P95LatencyMs)
 		r.recTime = rt
 		r.reused = "no"
-		if v.opts.Registry != nil && v.opts.Registry.Len() > 0 {
-			r.reused = "if matched"
+		if t.(*core.Hunter).Reused() {
+			r.reused = "yes"
 		}
 		return nil
 	}); err != nil {

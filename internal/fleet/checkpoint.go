@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/hunter-cdb/hunter/internal/checkpoint"
+	"github.com/hunter-cdb/hunter/internal/core"
 )
 
 // CheckpointFileName is the fleet snapshot file inside the checkpoint
@@ -144,11 +145,7 @@ func (f *Fleet) writeCheckpoint() error {
 		return err
 	}
 	if cw.storeDirty {
-		payload, err := f.store.Bytes()
-		if err != nil {
-			return err
-		}
-		if err := cw.w.AddBytes(sectionStore, payload); err != nil {
+		if err := cw.w.Add(sectionStore, f.store); err != nil {
 			return err
 		}
 	}
@@ -235,7 +232,7 @@ func PeekCheckpoint(path string) (CheckpointInfo, error) {
 		}
 	}
 	if file.Has(sectionStore) {
-		s := NewSharedStore()
+		s := core.NewReuseRegistry()
 		if err := file.Restore(sectionStore, s); err != nil {
 			return info, err
 		}

@@ -1,7 +1,8 @@
-// Package fleet is the multi-tenant tuning control plane: a sharded
+// Package fleet is the multi-tenant tuning control plane: a round-based
 // session scheduler that runs thousands of tenant tuning sessions with
 // per-tenant virtual-time budgets and personalized SLO targets, sharing
-// trained models across tenants through a workload-signature-keyed store.
+// trained models across tenants through one core.ReuseRegistry keyed by
+// workload signature.
 //
 // Determinism is the package's load-bearing property, inherited from the
 // rest of the repository: tenants are declared in a fixed order, scheduled
@@ -84,7 +85,7 @@ func (p Policy) withDefaults() Policy {
 type Config struct {
 	// Tenants are the tenant specs in declaration (= scheduling) order.
 	Tenants []TenantSpec
-	// Reuse enables the cross-tenant model store.
+	// Reuse enables the shared model registry.
 	Reuse  bool
 	Policy Policy
 	// Seed is the fleet seed, recorded in the report and the checkpoint
@@ -98,8 +99,8 @@ type Config struct {
 	// StopAfterRounds makes the fleet checkpoint and stop (ErrStopRequested)
 	// once that many rounds have run — the kill-and-resume hook.
 	StopAfterRounds int
-	// Recorder receives fleet-wide telemetry rollups (per-shard model
-	// counts, admission counters, tenant virtual-time histogram). Nil
+	// Recorder receives fleet-wide telemetry rollups (the shared model
+	// count, admission counters, tenant virtual-time histogram). Nil
 	// disables them at zero cost; rollups are passive and never change
 	// results.
 	Recorder *telemetry.Recorder
@@ -123,7 +124,7 @@ const (
 // Run, read results with Report.
 type Fleet struct {
 	cfg      Config
-	store    *SharedStore
+	store    *core.ReuseRegistry
 	admitted []TenantSpec
 	results  map[int]*TenantResult
 
@@ -163,7 +164,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:     cfg,
-		store:   NewSharedStore(),
+		store:   core.NewReuseRegistry(),
 		results: make(map[int]*TenantResult, len(cfg.Tenants)),
 		pool:    cfg.Policy.TotalVirtualBudget,
 	}
@@ -192,8 +193,8 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Store exposes the shared model store (diagnostics and tests).
-func (f *Fleet) Store() *SharedStore { return f.store }
+// Store exposes the shared model registry (diagnostics and tests).
+func (f *Fleet) Store() *core.ReuseRegistry { return f.store }
 
 // Rounds returns the number of completed scheduling rounds.
 func (f *Fleet) Rounds() int { return f.rounds }
@@ -246,10 +247,6 @@ func (f *Fleet) Run(ctx context.Context) error {
 			}
 			round = append(round, grant{spec: spec, granted: granted})
 		}
-		if len(round) == 0 {
-			// Every examined tenant was evicted; the barrier below still
-			// has dirty results to checkpoint.
-		}
 
 		// Fan the round out. Each outcome lands at its declaration index;
 		// nothing shared is written until the barrier.
@@ -284,13 +281,13 @@ func (f *Fleet) Run(ctx context.Context) error {
 // tenantOutcome is what one session run brings back to the barrier.
 type tenantOutcome struct {
 	res    TenantResult
-	staged []stagedModel
+	model  *core.Model // trained model to commit, nil when there is none
 	probed bool
 	hit    bool
 }
 
 // runTenant runs one tenant's tuning session to completion. It reads the
-// shared store (frozen during the round) and writes nothing shared.
+// shared registry (frozen during the round) and writes nothing shared.
 func (f *Fleet) runTenant(ctx context.Context, g grant) tenantOutcome {
 	spec := g.spec
 	out := tenantOutcome{res: TenantResult{
@@ -328,28 +325,28 @@ func (f *Fleet) runTenant(ctx context.Context, g grant) tenantOutcome {
 	}
 	defer s.Close()
 
-	ts := &tenantStore{}
 	opts := core.Options{
 		DisableRF:    true,
 		DisablePCA:   true,
 		SampleTarget: coldSampleTarget,
-		ReuseTag:     spec.Name,
 	}
 	if f.cfg.Reuse {
 		// With PCA disabled the session state is the full normalized metric
 		// vector, so the state dimension is a constant — which is exactly
-		// what makes cross-tenant snapshots compatible at all.
+		// what makes cross-tenant snapshots compatible at all. The session
+		// probes the same frozen registry with the same key, so it restores
+		// the donor found here.
 		out.probed = true
-		if donor, ok := f.store.Probe(spec.Signature(), knobs, metrics.Count); ok {
-			ts.warm = &donor
+		if donor, ok := f.store.Match(spec.Signature(), knobs, metrics.Count); ok {
 			out.hit = true
 			out.res.Reused = true
 			out.res.ReuseFrom = donor.Tag + "@" + donor.Signature
 			opts.SampleTarget = warmSampleTarget
 		}
-		opts.Registry = ts
+		opts.Registry, opts.ReuseTag = f.store, spec.Signature()
 	}
-	if err := core.New(opts).Tune(s); err != nil {
+	h := core.New(opts)
+	if err := h.Tune(s); err != nil {
 		return fail(err)
 	}
 
@@ -366,13 +363,16 @@ func (f *Fleet) runTenant(ctx context.Context, g grant) tenantOutcome {
 	out.res.BestTPS = best.Perf.ThroughputTPS
 	out.res.BestKnobs = best.Knobs
 	out.res.Status = StatusDone
-	out.staged = ts.staged
+	if m, ok := h.Model(); ok {
+		m.Tag = spec.Name
+		out.model = &m
+	}
 	return out
 }
 
 // fold merges one outcome into fleet state at the round barrier, in
-// declaration order: pool refund, reuse accounting, store commits, result
-// registration.
+// declaration order: pool refund, reuse accounting, the model commit,
+// result registration.
 func (f *Fleet) fold(o *tenantOutcome, g grant) {
 	if f.cfg.Policy.TotalVirtualBudget > 0 {
 		// Refund the unused reservation. A session's last wave may carry
@@ -386,20 +386,9 @@ func (f *Fleet) fold(o *tenantOutcome, g grant) {
 			f.reuseHits++
 		}
 	}
-	if o.res.Status == StatusDone {
-		for _, st := range o.staged {
-			if f.store.Commit(ModelEntry{
-				Signature: o.res.Signature,
-				Tag:       o.res.Name,
-				KnobNames: st.knobNames,
-				StateDim:  st.stateDim,
-				Fitness:   o.res.Fitness,
-				Snap:      st.snap,
-			}) {
-				f.reuseStores++
-				f.markStoreDirty()
-			}
-		}
+	if o.model != nil && f.store.Commit(*o.model) {
+		f.reuseStores++
+		f.markStoreDirty()
 	}
 	res := o.res
 	f.results[res.ID] = &res
@@ -407,7 +396,7 @@ func (f *Fleet) fold(o *tenantOutcome, g grant) {
 }
 
 // rollup publishes the round's telemetry: admission counters, the tenant
-// virtual-time histogram, per-shard store sizes, and a round event.
+// virtual-time histogram, the shared model count, and a round event.
 func (f *Fleet) rollup(outcomes []tenantOutcome) {
 	rec := f.cfg.Recorder
 	done, failed := 0, 0
@@ -440,9 +429,7 @@ func (f *Fleet) rollup(outcomes []tenantOutcome) {
 		rec.Gauge("fleet.reuse_probes").Set(float64(f.reuseProbes))
 		rec.Gauge("fleet.reuse_hits").Set(float64(f.reuseHits))
 		rec.Gauge("fleet.reuse_stores").Set(float64(f.reuseStores))
-		for i, n := range f.store.ShardSizes() {
-			rec.Gauge(fmt.Sprintf("fleet.shard%02d.models", i)).Set(float64(n))
-		}
+		rec.Gauge("fleet.store_models").Set(float64(f.store.Len()))
 	}
 	if f.trace != nil {
 		f.trace.Event("round_complete",

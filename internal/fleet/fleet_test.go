@@ -31,7 +31,8 @@ func runFleet(t *testing.T, cfg Config) (*Fleet, []byte) {
 // TestDeterminismAcrossWorkers is the fleet determinism golden: the
 // rendered fleet report must be byte-identical at 1 and 8 workers, with
 // reuse on (the cross-tenant coupling is exactly what could go
-// order-dependent).
+// order-dependent). It also pins the barrier rule behind it: a tenant only
+// warm-starts from a donor that finished in an earlier round.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	cfg := Config{
 		Tenants: SyntheticTenants(18, 7),
@@ -40,7 +41,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		Policy:  Policy{MaxActive: 6}, // several rounds, so later rounds see earlier models
 	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	_, w1 := runFleet(t, cfg)
+	f, w1 := runFleet(t, cfg)
 	parallel.SetWorkers(8)
 	_, w8 := runFleet(t, cfg)
 	if !bytes.Equal(w1, w8) {
@@ -48,6 +49,26 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Contains(w1, []byte("warm<-")) {
 		t.Fatalf("determinism fleet saw no warm starts; the golden is vacuous:\n%s", w1)
+	}
+
+	byName := map[string]TenantResult{}
+	results := f.Report().TenantResults
+	for _, res := range results {
+		byName[res.Name] = res
+	}
+	for _, res := range results {
+		if !res.Reused {
+			continue
+		}
+		if res.Round == 0 {
+			t.Errorf("round-0 tenant %s warm-started from %q", res.Name, res.ReuseFrom)
+		}
+		name, sig, _ := strings.Cut(res.ReuseFrom, "@")
+		donor, ok := byName[name]
+		if !ok || donor.Signature != sig || donor.Status != StatusDone || donor.Round >= res.Round {
+			t.Errorf("tenant %s (round %d) warm-started from %q, which is not a tenant of that signature done in an earlier round (found %v: %s %s round %d)",
+				res.Name, res.Round, res.ReuseFrom, ok, donor.Signature, donor.Status, donor.Round)
+		}
 	}
 }
 
@@ -222,7 +243,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestRollups checks the fleet telemetry surface: admission counters, the
-// per-tenant virtual-time histogram and per-shard store gauges.
+// per-tenant virtual-time histogram and the shared model gauge.
 func TestRollups(t *testing.T) {
 	rec := telemetry.New()
 	cfg := Config{
@@ -250,12 +271,8 @@ func TestRollups(t *testing.T) {
 	if got := rec.Gauge("fleet.reuse_hits").Value(); got != float64(r.ReuseHits) {
 		t.Fatalf("reuse_hits gauge %v, want %d", got, r.ReuseHits)
 	}
-	var shardTotal int
-	for _, n := range f.Store().ShardSizes() {
-		shardTotal += n
-	}
-	if shardTotal != f.Store().Len() {
-		t.Fatalf("shard sizes sum to %d, store holds %d", shardTotal, f.Store().Len())
+	if got := rec.Gauge("fleet.store_models").Value(); got != float64(f.Store().Len()) || got == 0 {
+		t.Fatalf("store_models gauge %v, registry holds %d", got, f.Store().Len())
 	}
 }
 

@@ -22,7 +22,7 @@ func trainWide(t *testing.T, workers int) []float64 {
 	for epoch := 0; epoch < 10; epoch++ {
 		for s := 0; s < 8; s++ {
 			for i := range x {
-				x[i] = sim.NewRNG(int64(epoch*100 + s)).Gaussian(0, 1)
+				x[i] = sim.NewRNG(int64(epoch*100+s)).Gaussian(0, 1)
 			}
 			out := m.Forward(x)
 			target := x[0]*2 - x[1]

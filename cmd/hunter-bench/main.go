@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	_ "net/http/pprof"
@@ -159,7 +158,7 @@ func main() {
 		fmt.Printf("  repeated %d×: throughput mean %9.0f txn/s  stddev %7.1f txn/s (%.2f%%)\n",
 			*repeat, mean, sd, 100*sd/mean)
 	}
-	if err := exportTelemetry(rec, *mout, *report); err != nil {
+	if err := rec.WriteFiles("", *mout, *report); err != nil {
 		fatalf("%v", err)
 	}
 	if *status {
@@ -178,38 +177,6 @@ func main() {
 	} {
 		fmt.Printf("  %-32s %14.0f\n", metrics.Name(i), mv[i])
 	}
-}
-
-// exportTelemetry writes the requested telemetry artifacts. No-op when the
-// recorder was never enabled.
-func exportTelemetry(rec *telemetry.Recorder, metricsOut, reportOut string) error {
-	if rec == nil {
-		return nil
-	}
-	rec.CaptureParallel()
-	rec.CaptureRuntime()
-	write := func(path string, emit func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if metricsOut != "" {
-		if err := write(metricsOut, rec.WriteText); err != nil {
-			return err
-		}
-	}
-	if reportOut != "" {
-		if err := write(reportOut, rec.WriteReport); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func meanStddev(xs []float64) (mean, sd float64) {

@@ -117,10 +117,8 @@ func main() {
 	runErr := f.Run(ctx)
 	wall := time.Since(start)
 
-	if *metrics != "" {
-		if werr := writeMetrics(rec, *metrics); werr != nil {
-			fatalf("%v", werr)
-		}
+	if werr := rec.WriteFiles("", *metrics, ""); werr != nil {
+		fatalf("%v", werr)
 	}
 	switch {
 	case errors.Is(runErr, fleet.ErrStopRequested):
@@ -149,18 +147,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "wall time %s (%.1f sessions/s)\n",
 		wall.Round(time.Millisecond), float64(r.Done+r.Failed)/wall.Seconds())
-}
-
-func writeMetrics(rec *telemetry.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteText(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 func fatalf(format string, args ...any) {

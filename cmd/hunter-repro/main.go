@@ -36,8 +36,7 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "virtual-time budget scale (1 = paper scale)")
 		seed       = flag.Int64("seed", 2022, "random seed")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		par        = flag.Bool("parallel", true, "overlap independent sessions and experiments across CPU cores (output is byte-identical either way)")
-		workers    = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "worker-pool size for overlapping independent sessions and experiments (0 = GOMAXPROCS, 1 = serial; output is byte-identical for any size)")
 		verbose    = flag.Bool("v", false, "stream structured session logs to stderr")
 		traceOut   = flag.String("trace", "", "write the span trace to this file (.json = Chrome trace_event format, else JSONL)")
 		metricsOut = flag.String("metrics-out", "", "write the counter/gauge exposition to this file")
@@ -91,7 +90,7 @@ func main() {
 		}()
 	}
 	cfg := experiments.Config{
-		Scale: *scale, Seed: *seed, SerialSessions: !*par,
+		Scale: *scale, Seed: *seed,
 		Recorder: rec, Logger: logger,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvry,
 		StopAfterWaves: *stopAt, ResumeOnly: *resume,
@@ -126,7 +125,7 @@ func main() {
 	}
 	// runOne executes one experiment, routing any failure into the same
 	// ordered writer as the results — not straight to stderr — so output
-	// placement is deterministic under -parallel even when runners fail.
+	// placement is deterministic with many workers even when runners fail.
 	runOne := func(i int, w io.Writer) (time.Duration, error) {
 		start := time.Now()
 		err := runners[i].Run(cfg, w)
@@ -137,7 +136,7 @@ func main() {
 	}
 
 	failures := 0
-	if !*par || len(runners) == 1 {
+	if parallel.Workers() == 1 || len(runners) == 1 {
 		// Serial mode streams to stdout directly but keeps running after a
 		// failure, matching the parallel mode's all-experiments behaviour.
 		for i, r := range runners {
@@ -170,7 +169,7 @@ func main() {
 		}
 	}
 
-	if err := exportTelemetry(rec, *traceOut, *metricsOut, *reportOut); err != nil {
+	if err := rec.WriteFiles(*traceOut, *metricsOut, *reportOut); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -178,45 +177,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hunter-repro: %d of %d experiments failed\n", failures, len(runners))
 		os.Exit(1)
 	}
-}
-
-// exportTelemetry snapshots the runtime/fork-join gauges and writes the
-// requested artifacts. No-op when telemetry was not enabled.
-func exportTelemetry(rec *telemetry.Recorder, traceOut, metricsOut, reportOut string) error {
-	if rec == nil {
-		return nil
-	}
-	rec.CaptureParallel()
-	rec.CaptureRuntime()
-	write := func(path string, emit func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if traceOut != "" {
-		emit := rec.WriteTrace
-		if strings.HasSuffix(traceOut, ".json") {
-			emit = rec.WriteChromeTrace
-		}
-		if err := write(traceOut, emit); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		if err := write(metricsOut, rec.WriteText); err != nil {
-			return err
-		}
-	}
-	if reportOut != "" {
-		if err := write(reportOut, rec.WriteReport); err != nil {
-			return err
-		}
-	}
-	return nil
 }

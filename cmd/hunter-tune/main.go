@@ -117,25 +117,16 @@ func main() {
 		req.Chaos = &hunter.ChaosPlan{Seed: *chSeed, Profile: profile}
 	}
 	// Any guardrail-shaped flag arms the full safety loop; -online alone
-	// runs the naive deploy-as-you-go baseline without the guard.
-	if *guard || *sloP99 > 0 || *sloTPS > 0 || *gMargin > 0 || *online {
+	// runs the naive deploy-as-you-go baseline without the guard. A flag
+	// set to an invalid value (negative, NaN) arms the loop too, so the
+	// guard's validation rejects it instead of the flag being ignored.
+	guarded := *guard || *sloP99 != 0 || *sloTPS != 0 || *gMargin != 0
+	if guarded || *online {
 		req.Safety = &hunter.SafetyOptions{
-			Guardrails:  *guard || *sloP99 > 0 || *sloTPS > 0 || *gMargin > 0,
+			Guardrails:  guarded,
 			Margin:      *gMargin,
 			SLOP99Ms:    float64(*sloP99) / float64(time.Millisecond),
 			SLOFloorTPS: *sloTPS,
-		}
-	}
-	if *dStream != "" {
-		streamSeed := *dSeed
-		if streamSeed == 0 {
-			streamSeed = *seed
-		}
-		req.DriftStream = &hunter.DriftStream{
-			Kind:   *dStream,
-			Period: *dPeriod,
-			Events: *dEvents,
-			Seed:   streamSeed,
 		}
 	}
 	switch *db {
@@ -170,6 +161,23 @@ func main() {
 			req.Workload = hunter.CompressWorkload(req.Workload, 0.25)
 		}
 		req.Eval = &hunter.EvalOptions{DedupWaves: true, WarmStateDeltas: true}
+	}
+	if *dStream != "" {
+		// The stream expands against the workload actually tuned, i.e.
+		// after the -compress substitution.
+		streamSeed := *dSeed
+		if streamSeed == 0 {
+			streamSeed = *seed
+		}
+		req.Drifts, err = hunter.GenerateDriftStream(req.Workload, hunter.DriftStream{
+			Kind:   *dStream,
+			Period: *dPeriod,
+			Events: *dEvents,
+			Seed:   streamSeed,
+		})
+		if err != nil {
+			fatalf("%v", err)
+		}
 	}
 	it, err := hunter.InstanceTypeByName(*instance)
 	if err != nil {
@@ -227,7 +235,7 @@ func main() {
 		res, err = hunter.TuneContext(ctx, req)
 	}
 	// Export telemetry before failing so a broken run still leaves a trace.
-	if eerr := exportTelemetry(req.Recorder, *traceOut, *metrics, *report); eerr != nil {
+	if eerr := req.Recorder.WriteFiles(*traceOut, *metrics, *report); eerr != nil {
 		fatalf("%v", eerr)
 	}
 	if errors.Is(err, hunter.ErrStopRequested) {
@@ -300,47 +308,6 @@ func reportCheckpoint(w io.Writer, dir, why string) {
 		why, filepath.Join(dir, hunter.CheckpointFileName), wave, clock.Hours())
 	fmt.Fprintf(w, "continue with:  %s -resume -checkpoint-dir %s  <same tuning flags>\n",
 		os.Args[0], dir)
-}
-
-// exportTelemetry writes the requested telemetry artifacts. No-op when the
-// recorder was never enabled.
-func exportTelemetry(rec *hunter.Recorder, traceOut, metricsOut, reportOut string) error {
-	if rec == nil {
-		return nil
-	}
-	rec.CaptureParallel()
-	rec.CaptureRuntime()
-	write := func(path string, emit func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	if traceOut != "" {
-		emit := rec.WriteTrace
-		if strings.HasSuffix(traceOut, ".json") {
-			emit = rec.WriteChromeTrace
-		}
-		if err := write(traceOut, emit); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		if err := write(metricsOut, rec.WriteText); err != nil {
-			return err
-		}
-	}
-	if reportOut != "" {
-		if err := write(reportOut, rec.WriteReport); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -17,14 +17,13 @@ import (
 func main() {
 	driftAt := 12 * time.Hour
 	res, err := hunter.Tune(hunter.Request{
-		Dialect:    hunter.MySQL,
-		Type:       mustType("D"), // the paper's 4-core / 16 GB production host
-		Workload:   hunter.Production(),
-		DriftAfter: driftAt,
-		DriftTo:    hunter.ProductionDrifted(),
-		Budget:     24 * time.Hour,
-		Clones:     2,
-		Seed:       5,
+		Dialect:  hunter.MySQL,
+		Type:     mustType("D"), // the paper's 4-core / 16 GB production host
+		Workload: hunter.Production(),
+		Drifts:   []hunter.DriftEvent{{At: driftAt, Profile: hunter.ProductionDrifted()}},
+		Budget:   24 * time.Hour,
+		Clones:   2,
+		Seed:     5,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -145,7 +145,7 @@ func NewRecorder() *Recorder { return telemetry.New() }
 type ChaosPlan = chaos.Plan
 
 // ChaosProfile describes a fault environment (probabilities per hook
-// point plus the self-healing policy knobs).
+// point plus the actor quarantine threshold).
 type ChaosProfile = chaos.Profile
 
 // ChaosProfileByName resolves a built-in fault profile: "off", "mild",
@@ -200,9 +200,9 @@ func NewIntrospectionServer(rec *Recorder, reg *StatusRegistry) *IntrospectionSe
 
 // SafetyOptions configures the online safe-tuning loop: guardrails
 // (canary gate, trust region, rollback), SLO objectives (p99 ceiling,
-// throughput floor), the rolling-baseline margin, the monitor/deploy
-// cadence, and drift detection. Zero-valued fields take documented
-// defaults.
+// throughput floor), the rolling-baseline margin, and drift detection.
+// Zero-valued fields take documented defaults. The canary count, trust
+// region and monitor/deploy cadence are fixed policy, not options.
 type SafetyOptions = safety.Options
 
 // SafetyReport summarizes a run's online safety loop: canary waves, online
@@ -233,8 +233,7 @@ const (
 func DriftStreamKinds() []string { return workload.StreamKinds() }
 
 // GenerateDriftStream expands a stream spec against a base workload into
-// its ordered drift events (the same expansion Tune performs for
-// Request.DriftStream).
+// its ordered drift events, ready for Request.Drifts.
 func GenerateDriftStream(base *Workload, spec DriftStream) ([]DriftEvent, error) {
 	return workload.GenerateStream(base, spec)
 }
@@ -259,18 +258,14 @@ type Request struct {
 	// Registry enables online model reuse when non-nil.
 	Registry *ReuseRegistry
 
-	// DriftAfter and DriftTo schedule a workload drift (§5): once the
-	// virtual clock passes DriftAfter, stress tests switch to DriftTo,
-	// the baseline is re-measured and best-so-far tracking restarts —
-	// while the tuner keeps its learned state.
-	DriftAfter time.Duration
-	DriftTo    *Workload
-
-	// DriftStream schedules a whole sequence of drifts expanded from the
-	// request workload (see GenerateDriftStream); it composes with
-	// DriftAfter/DriftTo. With Safety set the switches are silent — the
-	// run only learns of them through the guard's drift detection.
-	DriftStream *DriftStream
+	// Drifts schedules workload drifts (§5): once the virtual clock
+	// passes an event's At, stress tests switch to its Profile, the
+	// baseline is re-measured and best-so-far tracking restarts — while
+	// the tuner keeps its learned state. GenerateDriftStream expands a
+	// seeded stream into this list. With Safety set the switches are
+	// silent: the run only learns of them through the guard's drift
+	// detection.
+	Drifts []DriftEvent
 
 	// Safety arms the online safe-tuning loop: candidates deploy to the
 	// user's instance *during* the run behind canary measurement, trust
@@ -308,9 +303,6 @@ type Request struct {
 	// warm-state deltas). Nil keeps them off, with output byte-identical
 	// to the unoptimized path.
 	Eval *EvalOptions
-
-	// Advanced: module toggles for ablation studies.
-	DisableGA, DisablePCA, DisableRF, DisableFES bool
 }
 
 // EvalOptions selects the evaluation-cost optimizations of a run: wave
@@ -400,20 +392,9 @@ func TuneContext(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	defer s.Close()
-	if req.DriftTo != nil {
-		if err := s.ScheduleDrift(req.DriftAfter, req.DriftTo); err != nil {
+	for _, ev := range req.Drifts {
+		if err := s.ScheduleDrift(ev.At, ev.Profile); err != nil {
 			return nil, err
-		}
-	}
-	if req.DriftStream != nil {
-		events, err := workload.GenerateStream(req.Workload, *req.DriftStream)
-		if err != nil {
-			return nil, err
-		}
-		for _, ev := range events {
-			if err := s.ScheduleDrift(ev.At, ev.Profile); err != nil {
-				return nil, err
-			}
 		}
 	}
 	h := newCore(req)
@@ -449,18 +430,7 @@ func ResumeContext(ctx context.Context, req Request) (*Result, error) {
 	// The drift queue rides the checkpoint; verify it matches the schedule
 	// this request would program on a fresh run, so a resume cannot
 	// silently continue under different drift plans.
-	expected := make([]DriftEvent, 0, 8)
-	if req.DriftTo != nil {
-		expected = append(expected, DriftEvent{At: req.DriftAfter, Profile: req.DriftTo})
-	}
-	if req.DriftStream != nil {
-		events, serr := workload.GenerateStream(req.Workload, *req.DriftStream)
-		if serr != nil {
-			return nil, serr
-		}
-		expected = append(expected, events...)
-	}
-	if err := s.VerifyScheduledDrifts(expected); err != nil {
+	if err := s.VerifyScheduledDrifts(req.Drifts); err != nil {
 		return nil, err
 	}
 	h := newCore(req)
@@ -496,13 +466,7 @@ func toTunerRequest(req Request) tuner.Request {
 
 // newCore builds the hybrid tuner from the public request.
 func newCore(req Request) *core.Hunter {
-	return core.New(core.Options{
-		DisableGA:  req.DisableGA,
-		DisablePCA: req.DisablePCA,
-		DisableRF:  req.DisableRF,
-		DisableFES: req.DisableFES,
-		Registry:   req.Registry,
-	})
+	return core.New(core.Options{Registry: req.Registry})
 }
 
 // finish commits the trained model to the request's registry and

@@ -2,6 +2,7 @@ package hunter_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -45,8 +46,31 @@ func TestTuneQuickstart(t *testing.T) {
 }
 
 func TestTuneValidation(t *testing.T) {
-	if _, err := hunter.Tune(hunter.Request{}); err == nil {
-		t.Fatal("request without workload should fail")
+	valid := func(edit func(*hunter.Request)) hunter.Request {
+		req := hunter.Request{Workload: hunter.TPCC(), Budget: time.Hour, Seed: 1}
+		edit(&req)
+		return req
+	}
+	cases := []struct {
+		name string
+		req  hunter.Request
+	}{
+		{"no workload", hunter.Request{}},
+		{"NaN alpha", valid(func(r *hunter.Request) { r.Rules = hunter.NewRules().SetAlpha(math.NaN()) })},
+		{"NaN range bound", valid(func(r *hunter.Request) {
+			r.Rules = hunter.NewRules().Range("innodb_io_capacity", 100, math.NaN())
+		})},
+		{"NaN guard margin", valid(func(r *hunter.Request) {
+			r.Safety = &hunter.SafetyOptions{Guardrails: true, Margin: math.NaN()}
+		})},
+	}
+	for _, c := range cases {
+		_, err := hunter.Tune(c.req)
+		if err == nil {
+			t.Errorf("%s: request should fail validation", c.name)
+			continue
+		}
+		t.Logf("%s: %v", c.name, err)
 	}
 }
 

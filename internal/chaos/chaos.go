@@ -2,7 +2,7 @@
 // cloud: a seeded fault plan that fires at defined hook points — instance
 // boot failure at provisioning, transient control-plane errors on
 // Clone/Deploy, instance crash mid-stress-test, slow-I/O stragglers, and
-// hung actors — plus the self-healing policy knobs (bounded retry with
+// hung actors — plus the self-healing policy (bounded retry with
 // exponential backoff, per-actor deadlines, quarantine thresholds) the
 // tuning loop uses to survive them.
 //
@@ -23,8 +23,22 @@ import (
 	"time"
 )
 
+// The self-healing policy every profile shares. Only the quarantine
+// threshold varies by profile (Profile.QuarantineAfter).
+const (
+	// MaxRetries bounds the retry loop around transient faults.
+	MaxRetries = 3
+	// BackoffBase is the first retry delay; each further attempt doubles
+	// it, capped at BackoffCap. Delays are charged to the virtual clock.
+	BackoffBase = 10 * time.Second
+	BackoffCap  = 5 * time.Minute
+	// DeadlineFactor sets the per-actor wave deadline as a multiple of the
+	// nominal step cost (deploy + restart + execution + collection).
+	DeadlineFactor = 4.0
+)
+
 // Profile describes a fault environment: per-hook-point probabilities and
-// the self-healing policy the tuning loop should apply under it.
+// the quarantine threshold the tuning loop should apply under it.
 type Profile struct {
 	// Name identifies the profile ("mild", "flaky", "catastrophic"; "off"
 	// or empty disables injection).
@@ -50,15 +64,6 @@ type Profile struct {
 	// deadline and is abandoned.
 	HangProb float64
 
-	// MaxRetries bounds the retry loop around transient faults.
-	MaxRetries int
-	// BackoffBase is the first retry delay; each further attempt doubles
-	// it, capped at BackoffCap. Delays are charged to the virtual clock.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// DeadlineFactor sets the per-actor wave deadline as a multiple of the
-	// nominal step cost (deploy + restart + execution + collection).
-	DeadlineFactor float64
 	// QuarantineAfter is the number of faults (strikes) after which an
 	// actor slot is quarantined and the fleet shrinks.
 	QuarantineAfter int
@@ -72,18 +77,6 @@ func (p Profile) Enabled() bool {
 
 // withDefaults fills unset policy fields with safe defaults.
 func (p Profile) withDefaults() Profile {
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 3
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 10 * time.Second
-	}
-	if p.BackoffCap <= 0 {
-		p.BackoffCap = 5 * time.Minute
-	}
-	if p.DeadlineFactor <= 1 {
-		p.DeadlineFactor = 4
-	}
 	if p.QuarantineAfter <= 0 {
 		p.QuarantineAfter = 3
 	}
@@ -361,7 +354,7 @@ func (e *Engine) HangFactor() float64 {
 	if e == nil {
 		return 1
 	}
-	return 8 * e.p.DeadlineFactor
+	return 8 * DeadlineFactor
 }
 
 // Backoff returns the bounded-exponential retry delay for the given
@@ -370,30 +363,28 @@ func (e *Engine) Backoff(attempt int) time.Duration {
 	if e == nil {
 		return 0
 	}
-	d := e.p.BackoffBase
-	for i := 0; i < attempt && d < e.p.BackoffCap; i++ {
+	d := BackoffBase
+	for i := 0; i < attempt && d < BackoffCap; i++ {
 		d *= 2
 	}
-	if d > e.p.BackoffCap {
-		d = e.p.BackoffCap
-	}
-	return d
+	return min(d, BackoffCap)
 }
 
-// MaxRetries returns the transient-fault retry bound.
+// MaxRetries returns the transient-fault retry bound (0 when disabled).
 func (e *Engine) MaxRetries() int {
 	if e == nil {
 		return 0
 	}
-	return e.p.MaxRetries
+	return MaxRetries
 }
 
-// DeadlineFactor returns the per-actor deadline multiple.
+// DeadlineFactor returns the per-actor deadline multiple (0 when
+// disabled).
 func (e *Engine) DeadlineFactor() float64 {
 	if e == nil {
 		return 0
 	}
-	return e.p.DeadlineFactor
+	return DeadlineFactor
 }
 
 // QuarantineAfter returns the strike threshold for quarantine.

@@ -103,11 +103,9 @@ func TestProfileByName(t *testing.T) {
 // TestBackoffBoundedDoubling: the retry delay doubles per attempt and is
 // capped.
 func TestBackoffBoundedDoubling(t *testing.T) {
-	e := NewEngine(1, Profile{
-		Name: "t", CrashProb: 1,
-		BackoffBase: 10 * time.Second, BackoffCap: 35 * time.Second,
-	})
-	want := []time.Duration{10 * time.Second, 20 * time.Second, 35 * time.Second, 35 * time.Second}
+	e := NewEngine(1, Profile{Name: "t", CrashProb: 1})
+	want := []time.Duration{10 * time.Second, 20 * time.Second, 40 * time.Second,
+		80 * time.Second, 160 * time.Second, BackoffCap, BackoffCap}
 	for i, w := range want {
 		if got := e.Backoff(i); got != w {
 			t.Fatalf("Backoff(%d) = %v, want %v", i, got, w)
@@ -120,12 +118,12 @@ func TestBackoffBoundedDoubling(t *testing.T) {
 func TestDefaultsFilled(t *testing.T) {
 	e := NewEngine(1, Profile{Name: "bare", CrashProb: 0.5})
 	p := e.Profile()
-	if p.MaxRetries <= 0 || p.BackoffBase <= 0 || p.BackoffCap < p.BackoffBase ||
-		p.DeadlineFactor <= 1 || p.QuarantineAfter <= 0 {
+	if e.MaxRetries() != MaxRetries || e.DeadlineFactor() != DeadlineFactor ||
+		p.QuarantineAfter <= 0 || p.SlowIOMin < 1 || p.SlowIOMax <= p.SlowIOMin {
 		t.Fatalf("defaults not filled: %+v", p)
 	}
-	if e.HangFactor() <= p.DeadlineFactor {
-		t.Fatalf("hang factor %v must exceed the deadline factor %v", e.HangFactor(), p.DeadlineFactor)
+	if e.HangFactor() <= e.DeadlineFactor() {
+		t.Fatalf("hang factor %v must exceed the deadline factor %v", e.HangFactor(), e.DeadlineFactor())
 	}
 }
 

@@ -33,7 +33,7 @@ func runAblation(cfg Config, p panel, w io.Writer, seedBase int64) error {
 	budget := cfg.budget(72 * time.Hour)
 	combos := ablationRows()
 	rows := make([][]string, len(combos))
-	if err := runJobs(cfg, len(combos), func(i int) error {
+	if err := runJobs(len(combos), func(i int) error {
 		s, err := runSession(cfg, p, "HUNTER", combos[i].opts, budget, 1, seedBase+int64(i))
 		if err != nil {
 			return err
@@ -91,7 +91,7 @@ func RunTable6(cfg Config, w io.Writer) error {
 		{"HER", core.Options{Warmup: core.WarmupHER}},
 	}
 	rows := make([][]string, len(panels)*len(modes))
-	if err := runJobs(cfg, len(rows), func(k int) error {
+	if err := runJobs(len(rows), func(k int) error {
 		pi, mi := k/len(modes), k%len(modes)
 		p, mode := panels[pi], modes[mi]
 		s, err := runSession(cfg, p, "HUNTER", mode.opts, budget, 1, int64(1400+pi*10+mi))

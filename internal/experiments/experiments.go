@@ -35,11 +35,6 @@ type Config struct {
 	// between methods are stable under scaling, absolute hours shrink.
 	Scale float64
 	Seed  int64
-	// SerialSessions runs each runner's tuning sessions sequentially in
-	// declaration order instead of fanning them out over the parallel
-	// worker pool. Output is byte-identical either way (see sched.go);
-	// the switch exists for debugging and timing baselines.
-	SerialSessions bool
 	// Recorder, when non-nil, traces every session the experiments run.
 	// The recorder is passive (it never touches clocks, RNGs or output
 	// writers), so experiment output is byte-identical with it on or off.

@@ -21,7 +21,7 @@ func RunAlphaSensitivity(cfg Config, w io.Writer) error {
 	p := sysbenchRWMySQL()
 	alphas := []float64{0.0, 0.25, 0.5, 0.75, 1.0}
 	rows := make([][]string, len(alphas))
-	if err := runJobs(cfg, len(alphas), func(i int) error {
+	if err := runJobs(len(alphas), func(i int) error {
 		alpha := alphas[i]
 		rules := knob.NewRules().SetAlpha(alpha)
 		s, err := tuner.NewSession(tuner.Request{

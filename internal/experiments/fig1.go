@@ -28,7 +28,7 @@ func RunFigure1(cfg Config, w io.Writer) error {
 	}
 	nA := len(methods)
 	results := make([]result, nA+len(methods)*len(panels))
-	if err := runJobs(cfg, len(results), func(i int) error {
+	if err := runJobs(len(results), func(i int) error {
 		var s *tuner.Session
 		var err error
 		if i < nA {

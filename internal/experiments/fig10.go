@@ -29,7 +29,7 @@ func RunFigure10(cfg Config, w io.Writer) error {
 		hasRecovery bool
 	}
 	results := make([]result, len(methods))
-	if err := runJobs(cfg, len(methods), func(i int) error {
+	if err := runJobs(len(methods), func(i int) error {
 		s, err := tuner.NewSession(tuner.Request{
 			Dialect:  p.Dialect,
 			Type:     p.Type,

@@ -32,7 +32,7 @@ func RunFigure11(cfg Config, w io.Writer) error {
 		instHours float64
 	}
 	results := make([]result, len(methodNames)*len(envelopes))
-	if err := runJobs(cfg, len(results), func(k int) error {
+	if err := runJobs(len(results), func(k int) error {
 		mi, ei := k/len(envelopes), k%len(envelopes)
 		env := envelopes[ei]
 		s, err := runSession(cfg, p, methodNames[mi], core.Options{}, env.budget, env.clones, int64(1500+mi*10+ei))
@@ -100,7 +100,7 @@ func RunFigure12(cfg Config, w io.Writer) error {
 		recTime time.Duration
 	}
 	results := make([]result, len(panels)*len(cloneCounts))
-	if err := runJobs(cfg, len(results), func(k int) error {
+	if err := runJobs(len(results), func(k int) error {
 		pi, ci := k/len(cloneCounts), k%len(cloneCounts)
 		s, err := runSession(cfg, panels[pi], "HUNTER", core.Options{}, budget, cloneCounts[ci], int64(1600+pi*100+ci))
 		if err != nil {
@@ -187,7 +187,7 @@ func RunFigure13(cfg Config, w io.Writer) error {
 	for di := range directions {
 		registries[di] = core.NewReuseRegistry()
 	}
-	if err := runJobs(cfg, len(directions), func(di int) error {
+	if err := runJobs(len(directions), func(di int) error {
 		trainPanel := panel{Name: "train", Dialect: tpccMySQL().Dialect, Type: mysqlF(), Workload: directions[di].train}
 		ts, err := runSession(cfg, trainPanel, "HUNTER", core.Options{Registry: registries[di]}, trainBudget, 1, int64(1700+di*10))
 		if err != nil {
@@ -208,7 +208,7 @@ func RunFigure13(cfg Config, w io.Writer) error {
 	}
 	nv := len(variantsFor(nil))
 	results := make([]result, len(directions)*nv)
-	if err := runJobs(cfg, len(results), func(k int) error {
+	if err := runJobs(len(results), func(k int) error {
 		di, vi := k/nv, k%nv
 		v := variantsFor(registries[di])[vi]
 		usePanel := panel{Name: "use", Dialect: tpccMySQL().Dialect, Type: mysqlF(), Workload: directions[di].use}
@@ -263,7 +263,7 @@ func RunFigure14(cfg Config, w io.Writer) error {
 	// configurations. The transplant sessions read those pools, so they
 	// form a second round.
 	seeds := make([][]tuner.Sample, len(methods))
-	if err := runJobs(cfg, len(methods), func(mi int) error {
+	if err := runJobs(len(methods), func(mi int) error {
 		s, err := runSession(cfg, p, methods[mi], core.Options{}, trainBudget, 1, int64(1800+mi))
 		if err != nil {
 			return err
@@ -278,7 +278,7 @@ func RunFigure14(cfg Config, w io.Writer) error {
 	// Round 2: one five-step transplant session per (type × method).
 	types := cloud.Types()
 	cells := make([]string, len(types)*len(methods))
-	if err := runJobs(cfg, len(cells), func(k int) error {
+	if err := runJobs(len(cells), func(k int) error {
 		ti, mi := k/len(methods), k%len(methods)
 		it := types[ti]
 		s, err := tuner.NewSession(tuner.Request{

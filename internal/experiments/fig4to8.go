@@ -25,7 +25,7 @@ func RunFigure4(cfg Config, w io.Writer) error {
 	marks := timeMarks(budget, 8)
 
 	curveSlots := make([]tuner.Curve, len(methods))
-	if err := runJobs(cfg, len(methods), func(i int) error {
+	if err := runJobs(len(methods), func(i int) error {
 		s, err := runSession(cfg, p, methods[i], core.Options{}, budget, 1, int64(400+i))
 		if err != nil {
 			return err
@@ -102,7 +102,7 @@ func RunFigure5(cfg Config, w io.Writer) error {
 	buckets := []string{"<10%", "10-20%", "20-30%", ">30%"}
 
 	rows := make([][]string, len(methods))
-	if err := runJobs(cfg, len(methods), func(i int) error {
+	if err := runJobs(len(methods), func(i int) error {
 		s, err := runSession(cfg, p, methods[i], core.Options{}, budget, 1, int64(500+i))
 		if err != nil {
 			return err
@@ -160,7 +160,7 @@ func RunFigure6(cfg Config, w io.Writer) error {
 	panels := []panel{tpccMySQL(), sysbenchRWMySQL()}
 
 	cells := make([]string, len(sampleCounts)*len(panels))
-	if err := runJobs(cfg, len(cells), func(k int) error {
+	if err := runJobs(len(cells), func(k int) error {
 		i, j := k/len(panels), k%len(panels)
 		n, p := sampleCounts[i], panels[j]
 		sampleTime := time.Duration(n) * 170 * time.Second
@@ -298,7 +298,7 @@ func RunFigure8(cfg Config, w io.Writer) error {
 	grid := len(sampleCounts) * len(knobCounts)
 	cells := make([]string, grid)
 	var ranking []string
-	if err := runJobs(cfg, grid+1, func(job int) error {
+	if err := runJobs(grid+1, func(job int) error {
 		if job == grid {
 			// RF ranking from a 140-sample pool (fixed size: the ranking
 			// is meaningless on a handful of samples).

@@ -46,7 +46,7 @@ func RunFigure9(cfg Config, w io.Writer) error {
 		alpha    float64
 	}
 	results := make([]result, len(panels)*len(lines))
-	if err := runJobs(cfg, len(results), func(i int) error {
+	if err := runJobs(len(results), func(i int) error {
 		pi, li := i/len(lines), i%len(lines)
 		p, ln := panels[pi], lines[li]
 		method := ln.name

@@ -9,8 +9,8 @@ import (
 
 // TestSerialParallelByteIdentical is the determinism contract of sched.go:
 // a runner's output must be byte-for-byte identical whether its sessions
-// run serially in declaration order or fan out over the worker pool, and
-// identical for any worker count. Each session owns its RNG, clock and
+// run on one worker (the declaration-order loop) or fan out over the
+// worker pool, and identical for any worker count. Each session owns its RNG, clock and
 // provider, results land in declaration-indexed slots, and folding happens
 // in declaration order on the calling goroutine — so scheduling must be
 // invisible in the output.
@@ -19,7 +19,7 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 		t.Skip("runs tuning sessions")
 	}
 	cfg := Config{Scale: 0.01, Seed: 7}
-	run := func(t *testing.T, id string, serial bool, workers int) []byte {
+	run := func(t *testing.T, id string, workers int) []byte {
 		t.Helper()
 		prev := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(prev)
@@ -27,10 +27,8 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := cfg
-		c.SerialSessions = serial
 		var buf bytes.Buffer
-		if err := r.Run(c, &buf); err != nil {
+		if err := r.Run(cfg, &buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() == 0 {
@@ -52,11 +50,11 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	for _, id := range ids {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			golden := run(t, id, true, 1)
-			for _, workers := range []int{1, 8} {
-				got := run(t, id, false, workers)
+			golden := run(t, id, 1)
+			for _, workers := range []int{2, 8} {
+				got := run(t, id, workers)
 				if !bytes.Equal(golden, got) {
-					t.Errorf("parallel output (workers=%d) differs from serial golden\nserial:\n%s\nparallel:\n%s",
+					t.Errorf("parallel output (workers=%d) differs from the one-worker golden\nserial:\n%s\nparallel:\n%s",
 						workers, golden, got)
 				}
 			}

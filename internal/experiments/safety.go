@@ -66,7 +66,7 @@ func RunSafety(cfg Config, w io.Writer) error {
 		}},
 	}
 
-	limit := safety.Options{}.WithDefaults().ViolationLimit
+	limit := safety.ViolationLimit
 	type outcome struct {
 		report   *tuner.SafetyReport
 		maxRun   int

@@ -21,27 +21,21 @@ import (
 // training run, transplanted sample pools) are expressed as separate
 // runJobs rounds: everything inside one round must be independent.
 
-// runJobs executes n independent session jobs. With SerialSessions set,
-// jobs run in declaration order on the calling goroutine; otherwise they
-// fan out over the deterministic parallel worker pool (one job per chunk).
-// All jobs run even if one fails; the first error in declaration order is
-// returned, again independent of scheduling.
-func runJobs(cfg Config, n int, job func(i int) error) error {
+// runJobs executes n independent session jobs over the deterministic
+// parallel worker pool (one job per chunk; with one worker that is the
+// declaration-order loop on the calling goroutine). All jobs run even if
+// one fails; the first error in declaration order is returned, again
+// independent of scheduling.
+func runJobs(n int, job func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
-	if cfg.SerialSessions {
-		for i := 0; i < n; i++ {
+	parallel.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			errs[i] = job(i)
 		}
-	} else {
-		parallel.For(n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				errs[i] = job(i)
-			}
-		})
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

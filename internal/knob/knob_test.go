@@ -263,6 +263,18 @@ func TestRulesValidateUnknownKnob(t *testing.T) {
 	if err := NewRules().When("nope", OpGT, 0, "thread_handling", 1).Validate(cat); err == nil {
 		t.Fatal("expected error for unknown conditional knob")
 	}
+	if err := NewRules().SetAlpha(math.NaN()).Validate(cat); err == nil {
+		t.Error("NaN alpha accepted")
+	}
+	if err := NewRules().Range("innodb_io_capacity", math.NaN(), 1000).Validate(cat); err == nil {
+		t.Error("NaN lower range bound accepted")
+	}
+	if err := NewRules().Range("innodb_io_capacity", 100, math.NaN()).Validate(cat); err == nil {
+		t.Error("NaN upper range bound accepted")
+	}
+	if err := NewRules().SetAlpha(0.7).Range("innodb_io_capacity", 100, 1000).Validate(cat); err != nil {
+		t.Errorf("valid rules rejected: %v", err)
+	}
 }
 
 func TestRulesViolations(t *testing.T) {

@@ -2,6 +2,7 @@ package knob
 
 import (
 	"fmt"
+	"math"
 )
 
 // Op is a comparison operator in a conditional rule.
@@ -149,19 +150,28 @@ func (r *Rules) EnforceConditionals(cat *Catalog, cfg Config) {
 	}
 }
 
-// Validate checks that every referenced knob exists in the catalog.
+// Validate checks that every referenced knob exists in the catalog and
+// that α and the range bounds are numbers: EffectiveAlpha's clamp and the
+// inverted-range check both let NaN through, and a NaN α turns every
+// Eq. 1 fitness into NaN.
 func (r *Rules) Validate(cat *Catalog) error {
 	if r == nil {
 		return nil
+	}
+	if r.AlphaSet && math.IsNaN(r.Alpha) {
+		return fmt.Errorf("rules: alpha is NaN, want a value in [0,1]")
 	}
 	for name := range r.Fixed {
 		if _, ok := cat.Spec(name); !ok {
 			return fmt.Errorf("rules: fixed knob %q not in %s catalog", name, cat.Dialect)
 		}
 	}
-	for name := range r.Ranges {
+	for name, rg := range r.Ranges {
 		if _, ok := cat.Spec(name); !ok {
 			return fmt.Errorf("rules: ranged knob %q not in %s catalog", name, cat.Dialect)
+		}
+		if math.IsNaN(rg[0]) || math.IsNaN(rg[1]) {
+			return fmt.Errorf("rules: range for %q has a NaN bound [%g,%g]", name, rg[0], rg[1])
 		}
 	}
 	for _, c := range r.Conditionals {

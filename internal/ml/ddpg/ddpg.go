@@ -69,7 +69,7 @@ func (r *Replay) Sample(n int, rng *sim.RNG) []Transition {
 type Config struct {
 	StateDim  int
 	ActionDim int
-	Hidden    []int // default {128, 128}
+	Hidden    []int // default {64, 64}
 	ActorLR   float64
 	CriticLR  float64
 	Gamma     float64

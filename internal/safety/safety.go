@@ -20,8 +20,38 @@ import (
 	"github.com/hunter-cdb/hunter/internal/simdb"
 )
 
+// The guard's fixed policy. A tuning request personalizes the objective
+// (SLOs, margin) and drift sensitivity through Options; how the guard
+// paces, measures and steps is the system's policy and the same for every
+// request.
+const (
+	// CanaryReplicas is how many replicated canary measurements feed the
+	// median aggregate.
+	CanaryReplicas = 3
+	// TrustRadius is the initial per-knob step bound in normalized [0,1]
+	// space. RadiusWiden/RadiusShrink scale it on deploy success/guardrail
+	// failure, bounded by RadiusMin/RadiusMax.
+	TrustRadius  = 0.25
+	RadiusWiden  = 1.25
+	RadiusShrink = 0.5
+	RadiusMin    = 0.02
+	RadiusMax    = 1.0
+	// ViolationLimit is how many consecutive monitor violations trigger a
+	// rollback.
+	ViolationLimit = 2
+	// MonitorEvery and DeployEvery pace the online loop in tuning waves.
+	MonitorEvery = 2
+	DeployEvery  = 4
+	// BaselineWindow is the size of the rolling throughput window the
+	// baseline median is taken over.
+	BaselineWindow = 8
+	// QuarantineRadius is the L∞ radius (normalized knob space) around a
+	// rolled-back point that subsequent candidates must avoid.
+	QuarantineRadius = 0.05
+)
+
 // Options configures the guard. Zero values select the documented defaults
-// (see withDefaults); the struct is flat scalars so checkpoint fingerprints
+// (see WithDefaults); the struct is flat scalars so checkpoint fingerprints
 // can compare two option sets directly.
 type Options struct {
 	// Guardrails arms the canary gate, trust region, SLO monitor and
@@ -32,32 +62,11 @@ type Options struct {
 	// Margin is the fraction below the rolling baseline a measurement may
 	// sit before it counts as a regression (default 0.05).
 	Margin float64
-	// CanaryReplicas is how many replicated canary measurements feed the
-	// median aggregate (default 3).
-	CanaryReplicas int
-	// TrustRadius is the initial per-knob step bound in normalized [0,1]
-	// space (default 0.25). RadiusWiden/RadiusShrink scale it on deploy
-	// success/guardrail failure, bounded by RadiusMin/RadiusMax.
-	TrustRadius  float64
-	RadiusWiden  float64
-	RadiusShrink float64
-	RadiusMin    float64
-	RadiusMax    float64
 	// SLOP99Ms is the p99 latency ceiling in milliseconds; 0 disables the
 	// latency SLO.
 	SLOP99Ms float64
 	// SLOFloorTPS is the throughput floor; 0 disables it.
 	SLOFloorTPS float64
-	// ViolationLimit is how many consecutive monitor violations trigger a
-	// rollback (default 2).
-	ViolationLimit int
-	// MonitorEvery and DeployEvery pace the online loop in tuning waves
-	// (defaults 2 and 4).
-	MonitorEvery int
-	DeployEvery  int
-	// BaselineWindow is the size of the rolling throughput window the
-	// baseline median is taken over (default 8).
-	BaselineWindow int
 	// DriftThreshold is the relative throughput divergence from the
 	// rolling baseline that counts as a drift signal; 0 disables drift
 	// detection.
@@ -65,10 +74,6 @@ type Options struct {
 	// DriftWindow is how many consecutive drift signals confirm a drift
 	// (default 2).
 	DriftWindow int
-	// QuarantineRadius is the L∞ radius (normalized knob space) around a
-	// rolled-back point that subsequent candidates must avoid
-	// (default 0.05).
-	QuarantineRadius float64
 }
 
 // WithDefaults returns a copy with every unset field at its default.
@@ -76,77 +81,31 @@ func (o Options) WithDefaults() Options {
 	if o.Margin == 0 {
 		o.Margin = 0.05
 	}
-	if o.CanaryReplicas == 0 {
-		o.CanaryReplicas = 3
-	}
-	if o.TrustRadius == 0 {
-		o.TrustRadius = 0.25
-	}
-	if o.RadiusWiden == 0 {
-		o.RadiusWiden = 1.25
-	}
-	if o.RadiusShrink == 0 {
-		o.RadiusShrink = 0.5
-	}
-	if o.RadiusMin == 0 {
-		o.RadiusMin = 0.02
-	}
-	if o.RadiusMax == 0 {
-		o.RadiusMax = 1.0
-	}
-	if o.ViolationLimit == 0 {
-		o.ViolationLimit = 2
-	}
-	if o.MonitorEvery == 0 {
-		o.MonitorEvery = 2
-	}
-	if o.DeployEvery == 0 {
-		o.DeployEvery = 4
-	}
-	if o.BaselineWindow == 0 {
-		o.BaselineWindow = 8
-	}
 	if o.DriftWindow == 0 {
 		o.DriftWindow = 2
-	}
-	if o.QuarantineRadius == 0 {
-		o.QuarantineRadius = 0.05
 	}
 	return o
 }
 
-// Validate rejects option sets the state machine cannot run with.
+// Validate rejects option sets the state machine cannot run with. The
+// comparisons are written so that NaN fails them: a NaN margin or SLO
+// would make every guardrail comparison false and silently disarm it.
 func (o Options) Validate() error {
 	o = o.WithDefaults()
-	if o.Margin <= 0 || o.Margin >= 1 {
+	if !(o.Margin > 0 && o.Margin < 1) {
 		return fmt.Errorf("safety: margin %g outside (0,1)", o.Margin)
 	}
-	if o.CanaryReplicas < 1 {
-		return fmt.Errorf("safety: canary replicas %d < 1", o.CanaryReplicas)
+	if !(o.SLOP99Ms >= 0) || math.IsInf(o.SLOP99Ms, 0) {
+		return fmt.Errorf("safety: p99 SLO %g ms must be finite and >= 0", o.SLOP99Ms)
 	}
-	if o.TrustRadius <= 0 || o.TrustRadius > 1 {
-		return fmt.Errorf("safety: trust radius %g outside (0,1]", o.TrustRadius)
+	if !(o.SLOFloorTPS >= 0) || math.IsInf(o.SLOFloorTPS, 0) {
+		return fmt.Errorf("safety: throughput floor %g must be finite and >= 0", o.SLOFloorTPS)
 	}
-	if o.RadiusWiden < 1 {
-		return fmt.Errorf("safety: radius widen factor %g < 1", o.RadiusWiden)
+	if !(o.DriftThreshold >= 0) || math.IsInf(o.DriftThreshold, 0) {
+		return fmt.Errorf("safety: drift threshold %g must be finite and >= 0", o.DriftThreshold)
 	}
-	if o.RadiusShrink <= 0 || o.RadiusShrink >= 1 {
-		return fmt.Errorf("safety: radius shrink factor %g outside (0,1)", o.RadiusShrink)
-	}
-	if o.RadiusMin <= 0 || o.RadiusMin > o.RadiusMax {
-		return fmt.Errorf("safety: radius bounds [%g,%g] invalid", o.RadiusMin, o.RadiusMax)
-	}
-	if o.ViolationLimit < 1 {
-		return fmt.Errorf("safety: violation limit %d < 1", o.ViolationLimit)
-	}
-	if o.MonitorEvery < 1 || o.DeployEvery < 1 {
-		return fmt.Errorf("safety: monitor/deploy cadence must be >= 1 wave")
-	}
-	if o.BaselineWindow < 1 {
-		return fmt.Errorf("safety: baseline window %d < 1", o.BaselineWindow)
-	}
-	if o.DriftThreshold < 0 {
-		return fmt.Errorf("safety: drift threshold %g < 0", o.DriftThreshold)
+	if o.DriftWindow < 1 {
+		return fmt.Errorf("safety: drift window %d < 1", o.DriftWindow)
 	}
 	return nil
 }
@@ -204,7 +163,7 @@ func NewGuard(opts Options) (*Guard, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &Guard{opts: opts, radius: opts.TrustRadius, blocked: map[string]bool{}}, nil
+	return &Guard{opts: opts, radius: TrustRadius, blocked: map[string]bool{}}, nil
 }
 
 // Options returns the guard's defaulted options.
@@ -315,7 +274,7 @@ func (g *Guard) ObserveMonitor(p simdb.Perf) Verdict {
 	} else {
 		g.violations = 0
 	}
-	if g.opts.Guardrails && g.violations >= g.opts.ViolationLimit {
+	if g.opts.Guardrails && g.violations >= ViolationLimit {
 		v.RollbackDue = true
 	}
 	if g.opts.DriftThreshold > 0 && v.BaselineTPS > 0 &&
@@ -333,7 +292,7 @@ func (g *Guard) ObserveMonitor(p simdb.Perf) Verdict {
 
 func (g *Guard) push(tps float64) {
 	g.baseline = append(g.baseline, tps)
-	if n := len(g.baseline) - g.opts.BaselineWindow; n > 0 {
+	if n := len(g.baseline) - BaselineWindow; n > 0 {
 		g.baseline = append(g.baseline[:0], g.baseline[n:]...)
 	}
 }
@@ -346,7 +305,7 @@ func (g *Guard) NoteCanary() { g.counts.Canaries++ }
 // future probes are judged against the new normal.
 func (g *Guard) NoteDeploy(seedTPS float64) {
 	g.counts.Deploys++
-	g.radius = math.Min(g.radius*g.opts.RadiusWiden, g.opts.RadiusMax)
+	g.radius = math.Min(g.radius*RadiusWiden, RadiusMax)
 	g.violations = 0
 	g.baseline = g.baseline[:0]
 	if seedTPS > 0 {
@@ -358,7 +317,7 @@ func (g *Guard) NoteDeploy(seedTPS float64) {
 // the trust region shrinks and the key is gated until the next reset.
 func (g *Guard) NoteBlock(key string) {
 	g.counts.Blocks++
-	g.radius = math.Max(g.radius*g.opts.RadiusShrink, g.opts.RadiusMin)
+	g.radius = math.Max(g.radius*RadiusShrink, RadiusMin)
 	g.blocked[key] = true
 }
 
@@ -371,13 +330,13 @@ func (g *Guard) NoteRollback(point []float64, seedTPS float64) {
 	if len(point) > 0 {
 		g.quarantine = append(g.quarantine, Region{
 			Center: append([]float64(nil), point...),
-			Radius: g.opts.QuarantineRadius,
+			Radius: QuarantineRadius,
 		})
 	}
 	g.blocked = map[string]bool{}
 	g.violations = 0
 	g.driftHits = 0
-	g.radius = math.Max(g.radius*g.opts.RadiusShrink, g.opts.RadiusMin)
+	g.radius = math.Max(g.radius*RadiusShrink, RadiusMin)
 	g.baseline = g.baseline[:0]
 	if seedTPS > 0 {
 		g.push(seedTPS)

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,16 +23,21 @@ func perf(tps, p99 float64) simdb.Perf {
 }
 
 func TestOptionsValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Options{
 		{Margin: 1.5},
-		{CanaryReplicas: -1},
-		{TrustRadius: 2},
-		{RadiusWiden: 0.5},
-		{RadiusShrink: 1.5},
-		{RadiusMin: 0.5, RadiusMax: 0.1},
-		{ViolationLimit: -1},
-		{MonitorEvery: -1},
+		{Margin: -0.1},
+		{Margin: nan},
+		{SLOP99Ms: -1},
+		{SLOP99Ms: nan},
+		{SLOP99Ms: inf},
+		{SLOFloorTPS: -1},
+		{SLOFloorTPS: nan},
+		{SLOFloorTPS: inf},
 		{DriftThreshold: -0.1},
+		{DriftThreshold: nan},
+		{DriftThreshold: inf},
+		{DriftWindow: -1},
 	}
 	for _, o := range bad {
 		if _, err := NewGuard(o); err == nil {
@@ -43,13 +49,58 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// FuzzOptionsValidate checks that Validate is the guard's only gate: any
+// option set it accepts yields a guard whose margin guardrail still blocks
+// a canary and flags a monitor probe at half the margin floor, and any
+// set it rejects fails NewGuard.
+func FuzzOptionsValidate(f *testing.F) {
+	f.Add(true, 0.0, 0.0, 0.0, 0.0, 0)
+	f.Add(true, 0.1, 50.0, 80.0, 0.3, 2)
+	f.Add(true, math.NaN(), 0.0, 0.0, 0.0, 0)
+	f.Add(false, 0.05, math.Inf(1), -1.0, math.NaN(), -1)
+	f.Fuzz(func(t *testing.T, guardrails bool, margin, p99, floor, drift float64, window int) {
+		o := Options{Guardrails: guardrails, Margin: margin, SLOP99Ms: p99,
+			SLOFloorTPS: floor, DriftThreshold: drift, DriftWindow: window}
+		g, err := NewGuard(o)
+		if o.Validate() != nil {
+			if err == nil {
+				t.Fatalf("NewGuard accepted options Validate rejects: %+v", o)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("NewGuard rejected valid options %+v: %v", o, err)
+		}
+		// The baseline sits far enough above the throughput floor that the
+		// low canary clears every SLO and only the margin can block it.
+		m := g.Options().Margin
+		baseline := 1e6
+		if floor > 0 {
+			baseline = 4 * floor / (1 - m)
+		}
+		if math.IsInf(baseline, 0) {
+			t.Skip("floor too large to place a baseline above it")
+		}
+		low := perf(baseline*(1-m)/2, 0)
+		if ok, reason := g.GateDeploy(low, baseline); ok || reason != "baseline_margin" {
+			t.Fatalf("canary at half the margin floor: gate (%v,%q), want baseline_margin: %+v", ok, reason, o)
+		}
+		for i := 0; i < 3; i++ {
+			g.ObserveMonitor(perf(baseline, 0))
+		}
+		if v := g.ObserveMonitor(low); !v.Violation || !v.BelowBaseline {
+			t.Fatalf("probe at half the margin floor not a violation: %+v, %+v", o, v)
+		}
+	})
+}
+
 func TestClampStep(t *testing.T) {
-	g := newTestGuard(t, Options{TrustRadius: 0.1})
+	g := newTestGuard(t, Options{})
 	got, clamped := g.ClampStep([]float64{0.5, 0.5, 0.05}, []float64{0.9, 0.45, -0.2})
 	if !clamped {
 		t.Fatal("expected clamping")
 	}
-	want := []float64{0.6, 0.45, 0}
+	want := []float64{0.5 + TrustRadius, 0.45, 0}
 	for i := range want {
 		if diff := got[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("dim %d: got %g want %g", i, got[i], want[i])
@@ -106,7 +157,7 @@ func TestGateDeploy(t *testing.T) {
 }
 
 func TestMonitorViolationsAndRollback(t *testing.T) {
-	g := newTestGuard(t, Options{Guardrails: true, Margin: 0.1, ViolationLimit: 2})
+	g := newTestGuard(t, Options{Guardrails: true, Margin: 0.1})
 	// Healthy probes establish the baseline.
 	for i := 0; i < 3; i++ {
 		if v := g.ObserveMonitor(perf(200, 20)); v.Violation {
@@ -131,12 +182,14 @@ func TestMonitorViolationsAndRollback(t *testing.T) {
 }
 
 func TestMonitorSLOBreach(t *testing.T) {
-	g := newTestGuard(t, Options{Guardrails: true, SLOP99Ms: 50, ViolationLimit: 1})
-	v := g.ObserveMonitor(perf(500, 80))
-	if !v.SLOBreach || !v.RollbackDue {
-		t.Fatalf("p99 80ms over 50ms ceiling should breach and roll back, got %+v", v)
+	g := newTestGuard(t, Options{Guardrails: true, SLOP99Ms: 50})
+	for i := 1; i <= ViolationLimit; i++ {
+		v := g.ObserveMonitor(perf(500, 80))
+		if !v.SLOBreach || v.RollbackDue != (i == ViolationLimit) {
+			t.Fatalf("breach %d: p99 80ms over 50ms ceiling should breach, rolling back at the limit, got %+v", i, v)
+		}
 	}
-	if g.Counts().SLOViolations != 1 {
+	if g.Counts().SLOViolations != ViolationLimit {
 		t.Fatalf("slo violation not counted: %+v", g.Counts())
 	}
 }
@@ -167,20 +220,22 @@ func TestDriftDetection(t *testing.T) {
 }
 
 func TestRadiusWidenShrinkBounds(t *testing.T) {
-	g := newTestGuard(t, Options{TrustRadius: 0.25, RadiusWiden: 2, RadiusShrink: 0.5, RadiusMin: 0.1, RadiusMax: 0.6})
+	g := newTestGuard(t, Options{})
 	g.NoteDeploy(100)
-	if g.Radius() != 0.5 {
-		t.Fatalf("widen: got %g want 0.5", g.Radius())
+	if want := TrustRadius * RadiusWiden; g.Radius() != want {
+		t.Fatalf("widen: got %g want %g", g.Radius(), want)
 	}
-	g.NoteDeploy(100)
-	if g.Radius() != 0.6 {
-		t.Fatalf("widen capped at max: got %g want 0.6", g.Radius())
+	for i := 0; i < 20; i++ {
+		g.NoteDeploy(100)
 	}
-	for i := 0; i < 5; i++ {
+	if g.Radius() != RadiusMax {
+		t.Fatalf("widen capped at max: got %g want %g", g.Radius(), RadiusMax)
+	}
+	for i := 0; i < 20; i++ {
 		g.NoteBlock("k")
 	}
-	if g.Radius() != 0.1 {
-		t.Fatalf("shrink floored at min: got %g want 0.1", g.Radius())
+	if g.Radius() != RadiusMin {
+		t.Fatalf("shrink floored at min: got %g want %g", g.Radius(), RadiusMin)
 	}
 }
 
@@ -202,9 +257,9 @@ func TestBlockedClearsOnRollbackAndDrift(t *testing.T) {
 }
 
 func TestQuarantine(t *testing.T) {
-	g := newTestGuard(t, Options{QuarantineRadius: 0.1})
+	g := newTestGuard(t, Options{})
 	g.NoteRollback([]float64{0.5, 0.5}, 100)
-	if !g.InQuarantine([]float64{0.55, 0.45}) {
+	if !g.InQuarantine([]float64{0.5 + QuarantineRadius/2, 0.5 - QuarantineRadius/2}) {
 		t.Fatal("point inside the quarantined ball not flagged")
 	}
 	if g.InQuarantine([]float64{0.7, 0.5}) {

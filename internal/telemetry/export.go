@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -380,4 +381,46 @@ func (r *Recorder) WriteReport(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// WriteFiles is the CLIs' export step: it captures the runtime and
+// fork-join gauges, then writes each requested artifact — the span trace
+// (Chrome trace_event format when the path ends in .json, JSONL
+// otherwise), the counter/gauge exposition and the JSON run report. An
+// empty path skips that artifact; a nil recorder writes nothing.
+func (r *Recorder) WriteFiles(trace, metrics, report string) error {
+	if r == nil {
+		return nil
+	}
+	r.CaptureParallel()
+	r.CaptureRuntime()
+	emitTrace := r.WriteTrace
+	if strings.HasSuffix(trace, ".json") {
+		emitTrace = r.WriteChromeTrace
+	}
+	for _, out := range []struct {
+		path string
+		emit func(io.Writer) error
+	}{{trace, emitTrace}, {metrics, r.WriteText}, {report, r.WriteReport}} {
+		if out.path == "" {
+			continue
+		}
+		if err := writeFile(out.path, out.emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with emit.
+func writeFile(path string, emit func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := emit(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -202,5 +204,59 @@ func TestConcurrentRecordAndExport(t *testing.T) {
 	}
 	if h.Count() != 4*200 {
 		t.Fatalf("histogram lost observations: %d", h.Count())
+	}
+}
+
+// TestWriteFiles covers the CLIs' export step: every requested artifact
+// lands on disk with the runtime and fork-join gauges captured, a .json
+// trace path selects the Chrome format, a nil recorder writes nothing,
+// and an unwritable path is an error.
+func TestWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	read := func(name string) string {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	r := New()
+	r.Counter("c").Add(1)
+	if err := r.WriteFiles(filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "metrics.txt"),
+		filepath.Join(dir, "report.json")); err != nil {
+		t.Fatal(err)
+	}
+	if got := read("trace.jsonl"); !strings.HasPrefix(got, `{"type":"header"`) {
+		t.Fatalf("trace is not JSONL:\n%s", got)
+	}
+	metrics := read("metrics.txt")
+	for _, want := range []string{"\nc 1\n", "\nruntime.goroutines ", "\nparallel.workers "} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	var rep Report
+	if err := json.Unmarshal([]byte(read("report.json")), &rep); err != nil || rep.Schema != ReportSchema {
+		t.Fatalf("report malformed: %v %+v", err, rep)
+	}
+
+	if err := r.WriteFiles(filepath.Join(dir, "trace.json"), "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := read("trace.json"); !json.Valid([]byte(got)) || !strings.Contains(got, `"traceEvents"`) {
+		t.Fatalf(".json trace is not a Chrome trace:\n%s", got)
+	}
+
+	var off *Recorder
+	if err := off.WriteFiles(filepath.Join(dir, "nil.jsonl"), filepath.Join(dir, "nil.txt"), ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "nil.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("nil recorder wrote a file: %v", err)
+	}
+
+	if err := r.WriteFiles("", filepath.Join(dir, "missing", "metrics.txt"), ""); err == nil {
+		t.Fatal("unwritable path accepted")
 	}
 }

@@ -33,7 +33,7 @@ func chaosRequest(plan *chaos.Plan) Request {
 func TestNewSessionFleetLeakOnCloneFailure(t *testing.T) {
 	rec := telemetry.New()
 	req := chaosRequest(&chaos.Plan{Seed: 1, Profile: chaos.Profile{
-		Name: "t", TransientCloneProb: 1, MaxRetries: 2,
+		Name: "t", TransientCloneProb: 1,
 	}})
 	req.Recorder = rec
 
@@ -51,8 +51,8 @@ func TestNewSessionFleetLeakOnCloneFailure(t *testing.T) {
 	if active := rec.Gauge("cloud.instances_active").Value(); active != 0 {
 		t.Fatalf("failed NewSession left %v instances active", active)
 	}
-	if got := rec.Counter("cloud.transient_faults").Value(); got != 3 {
-		t.Fatalf("transient_faults = %d, want 3 (1 call + 2 retries)", got)
+	if got := rec.Counter("cloud.transient_faults").Value(); got != 1+chaos.MaxRetries {
+		t.Fatalf("transient_faults = %d, want %d (1 call + %d retries)", got, 1+chaos.MaxRetries, chaos.MaxRetries)
 	}
 }
 

@@ -334,9 +334,6 @@ func ResumeSession(ctx context.Context, req Request, path string) (*Session, *ch
 	}
 
 	costs := DefaultStepCosts()
-	if req.Costs != nil {
-		costs = *req.Costs
-	}
 	var cat *knob.Catalog
 	if req.Dialect == simdb.Postgres {
 		cat = knob.Postgres()
@@ -583,6 +580,9 @@ func (s *Session) VerifyScheduledDrifts(events []workload.DriftEvent) error {
 			len(s.drifts), len(sorted))
 	}
 	for i, ev := range sorted {
+		if ev.Profile == nil {
+			return fmt.Errorf("tuner: scheduled drift %d has no profile", i)
+		}
 		if ev.At != s.drifts[i].At || ev.Profile.Name != s.drifts[i].To.Name {
 			return fmt.Errorf("tuner: scheduled drift %d mismatch: checkpoint %v→%s, request %v→%s",
 				i, s.drifts[i].At, s.drifts[i].To.Name, ev.At, ev.Profile.Name)

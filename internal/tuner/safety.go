@@ -129,15 +129,14 @@ func (s *Session) OnlineDeployed() (cfg knob.Config, perf simdb.Perf, fitness fl
 // deployed config on its cadence (possibly rolling back), then try to
 // promote a better candidate on the deploy cadence.
 func (s *Session) safetyStep() {
-	opts := s.guard.Options()
 	rolledBack := false
 	s.sinceMonitor++
-	if s.sinceMonitor >= opts.MonitorEvery {
+	if s.sinceMonitor >= safety.MonitorEvery {
 		s.sinceMonitor = 0
 		rolledBack = s.monitorProbe()
 	}
 	s.sinceDeploy++
-	if s.sinceDeploy >= opts.DeployEvery {
+	if s.sinceDeploy >= safety.DeployEvery {
 		if rolledBack {
 			// Give the restored config a full cadence of probes before
 			// promoting anything new.
@@ -312,16 +311,13 @@ func (s *Session) rankedCandidates() []Sample {
 	return cands
 }
 
-// canary stress-tests a candidate on up to CanaryReplicas clones in one
-// replicated wave and aggregates the measurements with the guard's
+// canary stress-tests a candidate on up to safety.CanaryReplicas clones
+// in one replicated wave and aggregates the measurements with the guard's
 // outlier-robust median. Canary waves ride the same actor/chaos machinery
 // as tuning waves (deadline clamp, fleet repair) but produce no pool
 // samples and do not count as tuning waves.
 func (s *Session) canary(cfg knob.Config) (simdb.Perf, bool) {
-	k := s.guard.Options().CanaryReplicas
-	if k > len(s.actors) {
-		k = len(s.actors)
-	}
+	k := min(safety.CanaryReplicas, len(s.actors))
 	if k == 0 {
 		return simdb.FailedPerf(), false
 	}

@@ -41,8 +41,6 @@ type Request struct {
 	// global optimum. The check runs at wave boundaries on virtual time
 	// only, so it is fully deterministic; zero (the default) disables it.
 	StopAtFitness float64
-	// Costs overrides the Table 1 step costs (zero value uses defaults).
-	Costs *StepCosts
 	// Logger receives structured progress events (session setup, drift,
 	// best-so-far improvements, final deployment). Nil disables logging.
 	Logger *slog.Logger
@@ -272,9 +270,6 @@ func NewSessionContext(ctx context.Context, req Request) (*Session, error) {
 		return nil, err
 	}
 	costs := DefaultStepCosts()
-	if req.Costs != nil {
-		costs = *req.Costs
-	}
 	s := &Session{
 		Req:      req,
 		Clock:    sim.NewClock(),

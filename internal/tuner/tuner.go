@@ -7,7 +7,6 @@ package tuner
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -65,21 +64,6 @@ func (p *SharedPool) All() []Sample {
 	out := make([]Sample, len(p.samples))
 	copy(out, p.samples)
 	return out
-}
-
-// Best returns the pooled sample with the highest Eq. 1 fitness against
-// the default performance def.
-func (p *SharedPool) Best(def simdb.Perf, alpha float64) (Sample, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	best, found := Sample{}, false
-	bestF := math.Inf(-1)
-	for _, s := range p.samples {
-		if f := s.Perf.Fitness(def, alpha); f > bestF {
-			best, bestF, found = s, f, true
-		}
-	}
-	return best, found
 }
 
 // SortedByFitness returns samples in descending fitness order.

@@ -31,7 +31,7 @@ func TestDefaultStepCostsMatchTable1(t *testing.T) {
 func TestSharedPoolBestAndSort(t *testing.T) {
 	p := NewSharedPool()
 	def := simdb.Perf{ThroughputTPS: 100, P95LatencyMs: 100}
-	if _, ok := p.Best(def, 0.5); ok {
+	if len(p.SortedByFitness(def, 0.5)) != 0 {
 		t.Fatal("empty pool has no best")
 	}
 	p.Add(
@@ -39,10 +39,6 @@ func TestSharedPoolBestAndSort(t *testing.T) {
 		Sample{Perf: simdb.Perf{ThroughputTPS: 150, P95LatencyMs: 60}, Step: 2},
 		Sample{Perf: simdb.FailedPerf(), Step: 3},
 	)
-	best, ok := p.Best(def, 0.5)
-	if !ok || best.Step != 2 {
-		t.Fatalf("best = %+v", best)
-	}
 	sorted := p.SortedByFitness(def, 0.5)
 	if sorted[0].Step != 2 || sorted[len(sorted)-1].Step != 3 {
 		t.Fatal("sort order wrong")

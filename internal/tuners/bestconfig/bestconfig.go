@@ -14,20 +14,23 @@ import (
 	"github.com/hunter-cdb/hunter/internal/tuner"
 )
 
-// Tuner is the BestConfig search.
-type Tuner struct {
-	// RoundSize is the number of samples per DDS round.
-	RoundSize int
-	// Shrink is the bound-contraction factor per improving round.
-	Shrink float64
-	// MaxExploit bounds consecutive bound-and-search rounds before a
+// The reference settings.
+const (
+	// roundSize is the number of samples per DDS round.
+	roundSize = 16
+	// shrink is the bound-contraction factor per improving round.
+	shrink = 0.6
+	// maxExploit bounds consecutive bound-and-search rounds before a
 	// forced divergence round over the whole space (the DDS half of the
 	// algorithm keeps global coverage alive).
-	MaxExploit int
-}
+	maxExploit = 3
+)
 
-// New returns a BestConfig tuner with the reference settings.
-func New() *Tuner { return &Tuner{RoundSize: 16, Shrink: 0.6, MaxExploit: 3} }
+// Tuner is the BestConfig search.
+type Tuner struct{}
+
+// New returns a BestConfig tuner.
+func New() *Tuner { return &Tuner{} }
 
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "BestConfig" }
@@ -47,7 +50,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 
 	for !s.Exhausted() {
 		// DDS: Latin-hypercube sample inside the current bounds.
-		batch := tuner.LatinHypercube(t.RoundSize, dim, rng)
+		batch := tuner.LatinHypercube(roundSize, dim, rng)
 		for _, p := range batch {
 			for d := range p {
 				lo := sim.Clamp(center[d]-radius, 0, 1)
@@ -70,10 +73,10 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 			}
 			return err
 		}
-		if improved && bestPoint != nil && exploitRounds < t.MaxExploit {
+		if improved && bestPoint != nil && exploitRounds < maxExploit {
 			// RBS: contract the bounds around the incumbent.
 			copy(center, bestPoint)
-			radius *= t.Shrink
+			radius *= shrink
 			if radius < 0.05 {
 				radius = 0.05
 			}

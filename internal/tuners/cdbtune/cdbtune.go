@@ -14,23 +14,25 @@ import (
 	"github.com/hunter-cdb/hunter/internal/tuner"
 )
 
-// Tuner is the end-to-end DDPG tuner.
-type Tuner struct {
-	// InitRandom is the number of random warm-up steps before the policy
+// The reference settings.
+const (
+	// initRandom is the number of random warm-up steps before the policy
 	// drives exploration.
-	InitRandom int
-	// NoiseStart/NoiseEnd schedule the exploration noise.
-	NoiseStart, NoiseEnd float64
-	// NoiseDecaySteps is the horizon over which noise anneals.
-	NoiseDecaySteps int
-	// TrainPerStep is the number of minibatch updates after each sample.
-	TrainPerStep int
-}
+	initRandom = 8
+	// noiseStart/noiseEnd schedule the exploration noise. They are typed
+	// so that noiseEnd-noiseStart rounds to float64 like run-time math.
+	noiseStart, noiseEnd float64 = 0.5, 0.05
+	// noiseDecaySteps is the horizon over which noise anneals.
+	noiseDecaySteps = 700
+	// trainPerStep is the number of minibatch updates after each sample.
+	trainPerStep = 4
+)
 
-// New returns a CDBTune tuner with reference settings.
-func New() *Tuner {
-	return &Tuner{InitRandom: 8, NoiseStart: 0.5, NoiseEnd: 0.05, NoiseDecaySteps: 700, TrainPerStep: 4}
-}
+// Tuner is the end-to-end DDPG tuner.
+type Tuner struct{}
+
+// New returns a CDBTune tuner.
+func New() *Tuner { return &Tuner{} }
 
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "CDBTune" }
@@ -51,7 +53,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 
 	// Random bootstrap to obtain an initial state.
 	var state []float64
-	for i := 0; i < t.InitRandom && !s.Exhausted(); i++ {
+	for i := 0; i < initRandom && !s.Exhausted(); i++ {
 		smp, err := s.Evaluate(s.Space.Random(rng))
 		if err != nil {
 			if errors.Is(err, tuner.ErrBudgetExhausted) {
@@ -71,7 +73,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 	step := 0
 	for !s.Exhausted() {
 		step++
-		sigma := t.NoiseStart + (t.NoiseEnd-t.NoiseStart)*minf(1, float64(step)/float64(t.NoiseDecaySteps))
+		sigma := noiseStart + (noiseEnd-noiseStart)*minf(1, float64(step)/float64(noiseDecaySteps))
 		action := agent.ActNoisy(state, sigma)
 		smp, err := s.Evaluate(action)
 		done := err != nil
@@ -89,7 +91,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 			Next:   next,
 			Done:   done,
 		})
-		for k := 0; k < t.TrainPerStep; k++ {
+		for k := 0; k < trainPerStep; k++ {
 			agent.TrainStep()
 		}
 		s.ChargeModelUpdate()

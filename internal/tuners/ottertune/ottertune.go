@@ -13,21 +13,23 @@ import (
 	"github.com/hunter-cdb/hunter/internal/tuner"
 )
 
-// Tuner is the OtterTune pipeline.
-type Tuner struct {
-	// InitSamples is the Latin-hypercube bootstrap size.
-	InitSamples int
-	// Candidates is the acquisition pool size per step.
-	Candidates int
-	// KnobSchedule grows the number of active knobs as observations
-	// accumulate (OtterTune's incremental knob method).
-	KnobSchedule []int
-}
+// The reference settings.
+const (
+	// initSamples is the Latin-hypercube bootstrap size.
+	initSamples = 10
+	// candidates is the acquisition pool size per step.
+	candidates = 400
+)
 
-// New returns an OtterTune tuner with reference settings.
-func New() *Tuner {
-	return &Tuner{InitSamples: 10, Candidates: 400, KnobSchedule: []int{4, 8, 16, 32, 64}}
-}
+// knobSchedule grows the number of active knobs as observations
+// accumulate (OtterTune's incremental knob method).
+var knobSchedule = [...]int{4, 8, 16, 32, 64}
+
+// Tuner is the OtterTune pipeline.
+type Tuner struct{}
+
+// New returns an OtterTune tuner.
+func New() *Tuner { return &Tuner{} }
 
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "OtterTune" }
@@ -38,7 +40,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 	rng := s.RNG.Fork()
 
 	// Bootstrap with Latin-hypercube samples.
-	if _, err := s.EvaluateBatch(tuner.LatinHypercube(t.InitSamples, dim, rng)); err != nil {
+	if _, err := s.EvaluateBatch(tuner.LatinHypercube(initSamples, dim, rng)); err != nil {
 		if errors.Is(err, tuner.ErrBudgetExhausted) {
 			return nil
 		}
@@ -101,7 +103,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 		incumbent := x[argMax(y)]
 		defaults := s.Space.DefaultPoint()
 		bestEI, bestCand := -1.0, incumbent
-		for c := 0; c < t.Candidates; c++ {
+		for c := 0; c < candidates; c++ {
 			var cand []float64
 			if c%3 != 0 {
 				cand = s.Space.Random(rng)
@@ -129,10 +131,10 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 
 func (t *Tuner) activeKnobs(step int) int {
 	idx := step / 12 // grow the knob set every 12 observations
-	if idx >= len(t.KnobSchedule) {
-		idx = len(t.KnobSchedule) - 1
+	if idx >= len(knobSchedule) {
+		idx = len(knobSchedule) - 1
 	}
-	return t.KnobSchedule[idx]
+	return knobSchedule[idx]
 }
 
 func argMax(v []float64) int {

@@ -23,18 +23,22 @@ const (
 	workloadFeatureDim = maxClasses*perClassFeatures + 4
 )
 
-// Tuner is the DS-DDPG tuner.
-type Tuner struct {
-	InitRandom           int
-	NoiseStart, NoiseEnd float64
-	NoiseDecaySteps      int
-	TrainPerStep         int
-}
+// The reference settings: random warm-up steps, the exploration-noise
+// schedule and the minibatch updates per sample, as in CDBTune but with a
+// shorter noise horizon. The noise bounds are typed so that
+// noiseEnd-noiseStart rounds to float64 like run-time math.
+const (
+	initRandom                   = 8
+	noiseStart, noiseEnd float64 = 0.5, 0.05
+	noiseDecaySteps              = 650
+	trainPerStep                 = 4
+)
 
-// New returns a QTune tuner with reference settings.
-func New() *Tuner {
-	return &Tuner{InitRandom: 8, NoiseStart: 0.5, NoiseEnd: 0.05, NoiseDecaySteps: 650, TrainPerStep: 4}
-}
+// Tuner is the DS-DDPG tuner.
+type Tuner struct{}
+
+// New returns a QTune tuner.
+func New() *Tuner { return &Tuner{} }
 
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "QTune" }
@@ -89,7 +93,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 	}
 
 	var metricState []float64
-	for i := 0; i < t.InitRandom && !s.Exhausted(); i++ {
+	for i := 0; i < initRandom && !s.Exhausted(); i++ {
 		smp, err := s.Evaluate(s.Space.Random(rng))
 		if err != nil {
 			if errors.Is(err, tuner.ErrBudgetExhausted) {
@@ -116,11 +120,11 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 			wf = Featurize(s.Req.Workload)
 			refeaturized = true
 		}
-		frac := float64(step) / float64(t.NoiseDecaySteps)
+		frac := float64(step) / float64(noiseDecaySteps)
 		if frac > 1 {
 			frac = 1
 		}
-		sigma := t.NoiseStart + (t.NoiseEnd-t.NoiseStart)*frac
+		sigma := noiseStart + (noiseEnd-noiseStart)*frac
 		action := agent.ActNoisy(state, sigma)
 		smp, err := s.Evaluate(action)
 		var next []float64
@@ -131,7 +135,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 			next = state
 		}
 		agent.Observe(ddpg.Transition{State: state, Action: action, Reward: s.Fitness(smp.Perf), Next: next, Done: err != nil})
-		for k := 0; k < t.TrainPerStep; k++ {
+		for k := 0; k < trainPerStep; k++ {
 			agent.TrainStep()
 		}
 		s.ChargeModelUpdate()

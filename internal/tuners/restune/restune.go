@@ -18,21 +18,24 @@ import (
 	"github.com/hunter-cdb/hunter/internal/tuner"
 )
 
-// Tuner is the meta-learning BO tuner.
-type Tuner struct {
-	InitSamples int
-	Candidates  int
-	// BaseTasks is the number of synthetic historical tasks in the meta
+// The reference settings.
+const (
+	// initSamples is the Latin-hypercube bootstrap size and candidates
+	// the acquisition pool size per step.
+	initSamples = 6
+	candidates  = 400
+	// baseTasks is the number of synthetic historical tasks in the meta
 	// library.
-	BaseTasks int
-	// BaseSamples is the number of observations per historical task.
-	BaseSamples int
-}
+	baseTasks = 4
+	// baseSamples is the number of observations per historical task.
+	baseSamples = 40
+)
 
-// New returns a ResTune tuner with reference settings.
-func New() *Tuner {
-	return &Tuner{InitSamples: 6, Candidates: 400, BaseTasks: 4, BaseSamples: 40}
-}
+// Tuner is the meta-learning BO tuner.
+type Tuner struct{}
+
+// New returns a ResTune tuner.
+func New() *Tuner { return &Tuner{} }
 
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "ResTune" }
@@ -48,8 +51,8 @@ type baseTask struct {
 // durability knobs matter), some do not — the ensemble weighting must sort
 // that out, exactly as in the real system.
 func (t *Tuner) buildLibrary(dim int, rng *sim.RNG) []baseTask {
-	tasks := make([]baseTask, 0, t.BaseTasks)
-	for k := 0; k < t.BaseTasks; k++ {
+	tasks := make([]baseTask, 0, baseTasks)
+	for k := 0; k < baseTasks; k++ {
 		// A random quadratic-ish landscape with a planted optimum.
 		opt := make([]float64, dim)
 		wgt := make([]float64, dim)
@@ -57,9 +60,9 @@ func (t *Tuner) buildLibrary(dim int, rng *sim.RNG) []baseTask {
 			opt[d] = rng.Float64()
 			wgt[d] = rng.Float64() * rng.Float64() // few knobs matter
 		}
-		x := make([][]float64, t.BaseSamples)
-		y := make([]float64, t.BaseSamples)
-		for i := 0; i < t.BaseSamples; i++ {
+		x := make([][]float64, baseSamples)
+		y := make([]float64, baseSamples)
+		for i := 0; i < baseSamples; i++ {
 			p := make([]float64, dim)
 			var loss float64
 			for d := 0; d < dim; d++ {
@@ -83,7 +86,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 	rng := s.RNG.Fork()
 	library := t.buildLibrary(dim, rng)
 
-	if _, err := s.EvaluateBatch(tuner.LatinHypercube(t.InitSamples, dim, rng)); err != nil {
+	if _, err := s.EvaluateBatch(tuner.LatinHypercube(initSamples, dim, rng)); err != nil {
 		if errors.Is(err, tuner.ErrBudgetExhausted) {
 			return nil
 		}
@@ -123,7 +126,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 		incumbent := x[argMax(y)]
 		best := y[argMax(y)]
 		bestEI, bestCand := -1.0, incumbent
-		for c := 0; c < t.Candidates; c++ {
+		for c := 0; c < candidates; c++ {
 			var cand []float64
 			if c%2 == 0 {
 				cand = s.Space.Random(rng)

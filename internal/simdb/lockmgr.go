@@ -1,5 +1,7 @@
 package simdb
 
+import "math/bits"
+
 // lockTable is a row-lock manager with wait-for-graph deadlock detection,
 // the mechanism behind the engine's lock-contention measurements. During a
 // stress test the engine simulates batches of concurrent transactions
@@ -8,10 +10,10 @@ package simdb
 // deadlock (InnoDB detects these immediately; PostgreSQL after
 // deadlock_timeout).
 type lockTable struct {
-	owner   map[uint64]int // key → owning transaction
-	held    [][]uint64     // per-txn held keys
-	waitFor []int          // blocked txn → txn it waits on (-1: none)
-	waited  []bool         // txns that blocked at least once
+	owner   lockOwners // key → owning transaction
+	held    [][]uint64 // per-txn held keys
+	waitFor []int      // blocked txn → txn it waits on (-1: none)
+	waited  []bool     // txns that blocked at least once
 	aborted []bool
 
 	deadlocks int
@@ -20,20 +22,17 @@ type lockTable struct {
 
 func newLockTable(n int) *lockTable {
 	lt := &lockTable{}
-	lt.reset(n)
+	lt.reset(n, n)
 	return lt
 }
 
-// reset prepares the table for a fresh batch of n transactions, reusing
-// the per-transaction slices and the owner map from earlier batches — the
-// lock simulation runs dozens of batches per stress test, so the
-// allocation churn of rebuilding the table dominated the measurement loop.
-func (lt *lockTable) reset(n int) {
-	if lt.owner == nil {
-		lt.owner = make(map[uint64]int, 4*n)
-	} else {
-		clear(lt.owner)
-	}
+// reset prepares the table for a fresh batch of n transactions that write
+// at most keys rows between them, reusing the per-transaction slices and
+// the owner table from earlier batches — the lock simulation runs dozens
+// of batches per stress test, so the allocation churn of rebuilding the
+// table dominated the measurement loop.
+func (lt *lockTable) reset(n, keys int) {
+	lt.owner.reset(keys)
 	if cap(lt.held) < n {
 		lt.held = make([][]uint64, n)
 		lt.waitFor = make([]int, n)
@@ -54,6 +53,110 @@ func (lt *lockTable) reset(n int) {
 	lt.deadlocks, lt.nWaited = 0, 0
 }
 
+// lockOwners maps a row key to its owning transaction. get, put and del
+// act exactly like a Go map's index, assignment and delete, at a fraction
+// of a map's cost on the lock simulation's hot path: open addressing with
+// linear probing over a power-of-two slot array kept at most half full,
+// and backward-shift deletion, so no tombstones build up.
+type lockOwners struct {
+	slots []lockSlot
+	shift uint // 64 − log2(len(slots)): the hash keeps the top bits
+	n     int
+}
+
+// lockSlot holds one entry; txn is the owner plus one, so 0 marks an empty
+// slot and any key value is storable.
+type lockSlot struct {
+	key uint64
+	txn int
+}
+
+// reset empties the table and sizes it for keys entries at load ≤ ½.
+func (o *lockOwners) reset(keys int) {
+	size := 16
+	for size < 2*keys {
+		size *= 2
+	}
+	if len(o.slots) < size {
+		o.alloc(size)
+		return
+	}
+	if o.n > 0 {
+		clear(o.slots)
+		o.n = 0
+	}
+}
+
+func (o *lockOwners) alloc(size int) {
+	o.slots = make([]lockSlot, size)
+	o.shift = uint(65 - bits.Len(uint(size)))
+	o.n = 0
+}
+
+// home is key's preferred slot (Fibonacci hashing).
+func (o *lockOwners) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> o.shift)
+}
+
+// find returns the slot holding key, or the empty slot ending its probe
+// sequence.
+func (o *lockOwners) find(key uint64) int {
+	mask := len(o.slots) - 1
+	i := o.home(key)
+	for o.slots[i].txn != 0 && o.slots[i].key != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (o *lockOwners) get(key uint64) (txn int, ok bool) {
+	sl := o.slots[o.find(key)]
+	return sl.txn - 1, sl.txn != 0
+}
+
+func (o *lockOwners) put(key uint64, txn int) {
+	i := o.find(key)
+	if o.slots[i].txn == 0 {
+		if 2*(o.n+1) > len(o.slots) {
+			o.grow()
+			i = o.find(key)
+		}
+		o.n++
+	}
+	o.slots[i] = lockSlot{key: key, txn: txn + 1}
+}
+
+// grow doubles the table. reset sizes it for the batch's whole write set,
+// so only a caller that puts more keys than it declared gets here.
+func (o *lockOwners) grow() {
+	old := o.slots
+	o.alloc(2 * len(old))
+	for _, sl := range old {
+		if sl.txn != 0 {
+			o.slots[o.find(sl.key)] = sl
+			o.n++
+		}
+	}
+}
+
+func (o *lockOwners) del(key uint64) {
+	i := o.find(key)
+	if o.slots[i].txn == 0 {
+		return
+	}
+	// Backward shift: pull each later entry of the probe run into the hole
+	// unless its home lies cyclically after the hole.
+	mask := len(o.slots) - 1
+	for j := (i + 1) & mask; o.slots[j].txn != 0; j = (j + 1) & mask {
+		if (j-o.home(o.slots[j].key))&mask >= (j-i)&mask {
+			o.slots[i] = o.slots[j]
+			i = j
+		}
+	}
+	o.slots[i] = lockSlot{}
+	o.n--
+}
+
 // acquireResult describes the outcome of one lock request.
 type acquireResult int
 
@@ -71,10 +174,10 @@ func (lt *lockTable) acquire(txn int, key uint64) acquireResult {
 	if lt.aborted[txn] {
 		return lockDeadlock
 	}
-	holder, taken := lt.owner[key]
+	holder, taken := lt.owner.get(key)
 	if !taken || holder == txn {
 		if !taken {
-			lt.owner[key] = txn
+			lt.owner.put(key, txn)
 			lt.held[txn] = append(lt.held[txn], key)
 		}
 		return lockGranted
@@ -114,8 +217,8 @@ func (lt *lockTable) commit(txn int) { lt.release(txn) }
 
 func (lt *lockTable) release(txn int) {
 	for _, k := range lt.held[txn] {
-		if lt.owner[k] == txn {
-			delete(lt.owner, k)
+		if o, ok := lt.owner.get(k); ok && o == txn {
+			lt.owner.del(k)
 		}
 	}
 	lt.held[txn] = lt.held[txn][:0]
@@ -154,9 +257,10 @@ type lockSim struct {
 	done     []bool
 }
 
-// prepare sizes the scratch for n transactions and zeroes it.
-func (s *lockSim) prepare(n int) {
-	s.lt.reset(n)
+// prepare sizes the scratch for n transactions writing at most keys rows
+// and zeroes it.
+func (s *lockSim) prepare(n, keys int) {
+	s.lt.reset(n, keys)
 	if cap(s.progress) < n {
 		s.progress = make([]int, n)
 		s.blocked = make([]bool, n)
@@ -191,18 +295,19 @@ func batchLockSim(writeSets [][]uint64) (conflicted, deadlocks int) {
 func (s *lockSim) run(writeSets [][]uint64) (conflicted, deadlocks int) {
 	const holdRounds = 2 // execution time after the last lock, in rounds
 	n := len(writeSets)
-	s.prepare(n)
+	maxKeys, keys := 0, 0
+	for _, ws := range writeSets {
+		if len(ws) > maxKeys {
+			maxKeys = len(ws)
+		}
+		keys += len(ws)
+	}
+	s.prepare(n, keys)
 	lt := &s.lt
 	progress := s.progress
 	blocked := s.blocked
 	commitAt := s.commitAt
 	done := s.done
-	maxKeys := 0
-	for _, ws := range writeSets {
-		if len(ws) > maxKeys {
-			maxKeys = len(ws)
-		}
-	}
 	// Worst case is full serialization on one hot key: n·(holdRounds+1)
 	// rounds; beyond that something is livelocked and we cut off.
 	roundCap := n*(holdRounds+1) + 2*maxKeys + 16
@@ -224,7 +329,7 @@ func (s *lockSim) run(writeSets [][]uint64) (conflicted, deadlocks int) {
 			}
 			if blocked[t] {
 				// Retry the same key; succeeds once the holder released.
-				if o, held := lt.owner[writeSets[t][progress[t]]]; held && o != t {
+				if o, held := lt.owner.get(writeSets[t][progress[t]]); held && o != t {
 					continue
 				}
 				blocked[t] = false

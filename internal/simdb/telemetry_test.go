@@ -8,24 +8,30 @@ import (
 )
 
 // TestEngineRunAllocsDisabled guards the zero-overhead contract at the
-// stack's hottest call: a warm engine with telemetry disabled must keep
-// Run at the seed's 4 allocs/op on tpcc.
+// stack's hottest call: a warm engine with telemetry disabled allocates
+// only the metrics vector Run returns, which the caller keeps. The Zipf
+// samplers are stack values over shared tables and the lock table reuses
+// its slots. Warm means steady state: the first few runs grow the
+// per-transaction write-set scratch to the mix's longest transaction.
 func TestEngineRunAllocsDisabled(t *testing.T) {
-	e, err := NewEngine(MySQL, referenceMySQL(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := workload.TPCC()
-	if _, _, err := e.Run(p); err != nil { // warm the reusable buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := e.Run(p); err != nil {
+	for _, p := range []*workload.Profile{workload.TPCC(), workload.SysbenchRW(), workload.Production()} {
+		e, err := NewEngine(MySQL, referenceMySQL(), 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 4 {
-		t.Fatalf("Engine.Run with telemetry disabled: %v allocs/op, want <= 4", allocs)
+		for i := 0; i < 5; i++ { // warm the reusable buffers
+			if _, _, err := e.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, _, err := e.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: Engine.Run with telemetry disabled: %v allocs/op, want <= 1 (the returned metrics vector)", p.Name, allocs)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package tuner
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -60,6 +61,42 @@ func TestSessionRequestValidation(t *testing.T) {
 		Rules:    knob.NewRules().Fix("no_such", 1),
 	}); err == nil {
 		t.Fatal("rules referencing unknown knobs should fail")
+	}
+}
+
+// TestSessionRejectsNonFiniteProfile: a profile whose skew, class weight
+// or measure fraction is not finite must fail session construction. A NaN
+// or infinite Zipf exponent never accepts a draw, so before validation
+// caught it the default-config stress test spun forever; the deadline turns
+// such a regression into a failure instead of a hang.
+func TestSessionRejectsNonFiniteProfile(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *workload.Profile)
+	}{
+		{"skew NaN", func(p *workload.Profile) { p.Skew = math.NaN() }},
+		{"skew +Inf", func(p *workload.Profile) { p.Skew = math.Inf(1) }},
+		{"weight NaN", func(p *workload.Profile) { p.Mix[0].Weight = math.NaN() }},
+		{"measure fraction NaN", func(p *workload.Profile) { p.MeasureFraction = math.NaN() }},
+	} {
+		p := workload.TPCC()
+		tc.mutate(p)
+		done := make(chan error, 1)
+		go func() {
+			s, err := NewSession(Request{Workload: p, Budget: time.Hour, Seed: 1})
+			if err == nil {
+				s.Close()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: NewSession accepted the profile", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: NewSession still running after 10s", tc.name)
+		}
 	}
 }
 

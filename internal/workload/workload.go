@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 )
 
 // TxnClass is one transaction type in a mix (e.g. TPC-C NewOrder).
@@ -86,16 +87,21 @@ func (p *Profile) Validate() error {
 	}
 	var w float64
 	for _, c := range p.Mix {
-		if c.Weight < 0 {
-			return fmt.Errorf("workload %s: negative weight in class %s", p.Name, c.Name)
+		if c.Weight < 0 || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
+			return fmt.Errorf("workload %s: weight %g in class %s is negative or not finite", p.Name, c.Weight, c.Name)
 		}
 		w += c.Weight
 	}
 	if w <= 0 {
 		return fmt.Errorf("workload %s: mix weights sum to zero", p.Name)
 	}
-	if p.MeasureFraction < 0 || p.MeasureFraction > 1 {
+	if !(p.MeasureFraction >= 0 && p.MeasureFraction <= 1) {
 		return fmt.Errorf("workload %s: measure fraction %g outside [0,1]", p.Name, p.MeasureFraction)
+	}
+	// A non-finite exponent never accepts a Zipf draw: the stress test
+	// would spin forever.
+	if math.IsNaN(p.Skew) || math.IsInf(p.Skew, 0) {
+		return fmt.Errorf("workload %s: skew %g is not finite", p.Name, p.Skew)
 	}
 	return nil
 }

@@ -66,6 +66,13 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1},
 		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: -1}}},
 		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: 0}}},
+		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: math.NaN()}}},
+		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: 1}, {Weight: math.Inf(1)}}},
+		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: 1}}, MeasureFraction: math.NaN()},
+		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: 1}}, MeasureFraction: math.Inf(1)},
+		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: 1}}, Skew: math.NaN()},
+		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: 1}}, Skew: math.Inf(1)},
+		{Name: "x", Rows: 1, DataBytes: 1, Threads: 1, Mix: []TxnClass{{Weight: 1}}, Skew: math.Inf(-1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -13,7 +13,8 @@
 // overlay. For a checkpoint it dumps the section table and the resume
 // bookkeeping. diff compares the deterministic phase totals of two reports
 // and exits non-zero when the new run regressed beyond the tolerance — the
-// CI perf-regression gate.
+// perf-regression gate TestBaselineDiffGate runs against
+// examples/baselines/tpcc-2h-report.json.
 package main
 
 import (

@@ -157,7 +157,7 @@ func TestDiffReports(t *testing.T) {
 		t.Fatalf("within-tolerance growth flagged: %v", regs)
 	}
 
-	// A doubled phase cost must be flagged (the CI injection scenario).
+	// A doubled phase cost must be flagged (the injected-regression case).
 	next = clone()
 	next.Sessions[0].StepSeconds["stress_wave"] = 160
 	regs, _ := diffReports(base, next, 0.01)
@@ -190,7 +190,7 @@ func TestDiffReports(t *testing.T) {
 }
 
 // TestRunDiffExitCodes drives the subcommand end to end through run(),
-// including the injected-regression gate CI relies on.
+// including the injected-regression gate.
 func TestRunDiffExitCodes(t *testing.T) {
 	_, reportPath, _ := buildArtifacts(t)
 	dir := t.TempDir()

@@ -41,12 +41,6 @@ func main() {
 		traceOut   = flag.String("trace", "", "write the span trace to this file (.json = Chrome trace_event format, else JSONL)")
 		metricsOut = flag.String("metrics-out", "", "write the counter/gauge exposition to this file")
 		reportOut  = flag.String("report", "", "write the run report (JSON) to this file")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory the resume experiment keeps its snapshot in (default: a temp dir)")
-		ckptEvry   = flag.Int("checkpoint-every", 1, "stress waves between snapshots in the resume experiment")
-		resume     = flag.Bool("resume", false, "make the resume experiment continue the snapshot in -checkpoint-dir instead of re-running its golden and kill legs")
-		stopAt     = flag.Int("stop-after-waves", 0, "wave the resume experiment kills its session at (0 = default)")
-		chProf     = flag.String("chaos-profile", "", "fault-injection profile the chaos experiment arms (default: flaky)")
-		chSeed     = flag.Int64("chaos-seed", 0, "fault-plan seed for the chaos experiment (0 = default)")
 		serve      = flag.String("serve", "", "serve the live introspection plane (/metrics /status /sessions /events) on this address, e.g. 127.0.0.1:8377")
 		linger     = flag.Duration("serve-linger", 0, "keep the introspection server up this long after the experiments finish")
 	)
@@ -89,21 +83,11 @@ func main() {
 			srv.Close()
 		}()
 	}
-	cfg := experiments.Config{
-		Scale: *scale, Seed: *seed,
-		Recorder: rec, Logger: logger,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvry,
-		StopAfterWaves: *stopAt, ResumeOnly: *resume,
-		ChaosProfile: *chProf, ChaosSeed: *chSeed,
-	}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Recorder: rec, Logger: logger}
 	if status != nil {
 		// Assigned only when serving: a nil *Registry in the interface field
 		// would read as a non-nil sink.
 		cfg.Status = status
-	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -checkpoint-dir")
-		os.Exit(2)
 	}
 	runners := experiments.All()
 	if *exp != "" {

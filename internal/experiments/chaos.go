@@ -14,12 +14,13 @@ import (
 // RunChaos demonstrates the fault-injection and self-healing design end to
 // end, in two legs:
 //
-// Leg 1 arms a deterministic chaos plan (default: the "flaky" profile) on a
-// full HUNTER session. Injected boot failures, transients, crashes,
+// Leg 1 arms a deterministic chaos plan (the "flaky" profile, chaos seed
+// 7) on a full HUNTER session. Injected boot failures, transients, crashes,
 // stragglers and hangs strike mid-run; the supervisor retries, replaces and
 // quarantines, and the session still completes with a recommendation. The
 // printed fault summary is a pure function of (seed, chaos seed, profile) —
-// byte-identical across worker counts, which is what CI checks.
+// byte-identical across worker counts, which TestChaosWorkerByteIdentity
+// checks.
 //
 // Leg 2 arms the "catastrophic" profile, under which every stress test
 // crashes its clone: the fleet collapses, the session surfaces
@@ -30,18 +31,8 @@ func RunChaos(cfg Config, w io.Writer) error {
 	p := tpccMySQL()
 	opts := core.Options{SampleTarget: cfg.scaledSampleTarget()}
 
-	profName := cfg.ChaosProfile
-	if profName == "" {
-		profName = "flaky"
-	}
-	profile, err := chaos.ProfileByName(profName)
-	if err != nil {
-		return err
-	}
-	chaosSeed := cfg.ChaosSeed
-	if chaosSeed == 0 {
-		chaosSeed = 7
-	}
+	profile := chaos.Flaky()
+	const chaosSeed = 7
 
 	req := func(plan *chaos.Plan, budget time.Duration, clones int, seedOffset int64) tuner.Request {
 		return tuner.Request{

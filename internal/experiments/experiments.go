@@ -48,22 +48,6 @@ type Config struct {
 	// introspection server. Like the Recorder it is passive: publishing
 	// never changes experiment output.
 	Status tuner.StatusSink
-
-	// CheckpointDir, CheckpointEvery and StopAfterWaves parameterize the
-	// resume-identity experiment (the hunter-repro -checkpoint-dir and
-	// -checkpoint-every flags). An empty dir uses a temporary directory.
-	CheckpointDir   string
-	CheckpointEvery int
-	StopAfterWaves  int
-	// ResumeOnly makes the resume experiment skip its golden and kill legs
-	// and just continue the snapshot already in CheckpointDir.
-	ResumeOnly bool
-
-	// ChaosProfile and ChaosSeed parameterize the chaos experiment (the
-	// hunter-repro -chaos-profile and -chaos-seed flags). An empty profile
-	// uses the experiment's default ("flaky").
-	ChaosProfile string
-	ChaosSeed    int64
 }
 
 func (c Config) withDefaults() Config {
@@ -114,7 +98,6 @@ func All() []Runner {
 		{"fig13", "Figure 13: online model reuse", RunFigure13},
 		{"fig14", "Figure 14: model reuse across instance types", RunFigure14},
 		{"alpha", "Extra: recommended operating point vs the α preference", RunAlphaSensitivity},
-		{"resume", "Extra: checkpoint/resume identity (kill after wave k, continue bit-identically)", RunResumeIdentity},
 		{"chaos", "Extra: fault injection and self-healing (deterministic chaos plan, quarantine, fleet-loss fallback)", RunChaos},
 		{"evalcost", "Extra: evaluation cost collapse (compressed kernel vs full trace, wave dedup, warm-state deltas)", RunEvalCost},
 		{"safety", "Extra: online safe tuning under live drift (guardrails, canary gate, trust region, automatic rollback)", RunSafety},

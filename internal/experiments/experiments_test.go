@@ -88,7 +88,7 @@ func TestSmallScaleRunners(t *testing.T) {
 		t.Skip("runs tuning sessions")
 	}
 	cfg := Config{Scale: 0.02, Seed: 9}
-	for _, id := range []string{"table1", "fig5", "fig7", "chaos"} {
+	for _, id := range []string{"table1", "fig5", "fig7", "chaos", "safety", "evalcost"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

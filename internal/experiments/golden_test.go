@@ -38,12 +38,14 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	}
 	// fig5 fans out four method sessions; table6 mixes two dialects over
 	// four sessions. Together they exercise slot folding, seed offsets and
-	// the table writer under contention.
-	ids := []string{"fig5", "table6"}
+	// the table writer under contention. fig13 and fig14 are the ML-heavy
+	// figures: PCA, RF sifting and DDPG with model reuse must be
+	// bit-identical at any worker count.
+	ids := []string{"table6", "fig5", "fig13", "fig14"}
 	if raceEnabled {
-		// Race slowdown makes the four fig5 sessions too slow for the
+		// Race slowdown makes the multi-session figures too slow for the
 		// per-package timeout; table6 still races the scheduler end to end.
-		ids = ids[1:]
+		ids = ids[:1]
 	}
 	// The subtests mutate the process-wide worker override, so they must
 	// not run in parallel with each other.

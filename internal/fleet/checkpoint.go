@@ -270,6 +270,9 @@ func Resume(cfg Config) (*Fleet, error) {
 	if err := checkMeta(meta, f); err != nil {
 		return nil, err
 	}
+	if err := checkProgress(meta, f); err != nil {
+		return nil, err
+	}
 	if file.Has(sectionStore) {
 		if err := file.Restore(sectionStore, f.store); err != nil {
 			return nil, err
@@ -282,6 +285,9 @@ func Resume(cfg Config) (*Fleet, error) {
 		id, err := strconv.Atoi(strings.TrimPrefix(name, "tenant/"))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: bad tenant section %q", name)
+		}
+		if id < 0 || id >= len(f.cfg.Tenants) {
+			return nil, fmt.Errorf("fleet: checkpoint tenant section %q: ID %d outside [0, %d)", name, id, len(f.cfg.Tenants))
 		}
 		raw, err := file.Bytes(name)
 		if err != nil {
@@ -318,6 +324,28 @@ func Resume(cfg Config) (*Fleet, error) {
 	f.logf("fleet resumed",
 		"checkpoint", f.CheckpointPath(), "round", f.rounds, "next_tenant", f.next)
 	return f, nil
+}
+
+// checkProgress rejects bookkeeping no fleet run writes. A snapshot that
+// passes its CRCs can still carry it, and the resumed Run would index or
+// count with it.
+func checkProgress(meta fleetMeta, f *Fleet) error {
+	bad := func(field string, v any) error {
+		return fmt.Errorf("fleet: checkpoint %s = %v is out of range", field, v)
+	}
+	switch {
+	case meta.Next < 0 || meta.Next > len(f.admitted):
+		return bad("Next", meta.Next)
+	case meta.Rounds < 0:
+		return bad("Rounds", meta.Rounds)
+	case meta.Done < 0:
+		return bad("Done", meta.Done)
+	case meta.Failed < 0:
+		return bad("Failed", meta.Failed)
+	case f.cfg.Policy.TotalVirtualBudget > 0 && meta.Pool > f.cfg.Policy.TotalVirtualBudget:
+		return bad("Pool", meta.Pool)
+	}
+	return nil
 }
 
 // checkMeta verifies the resume config matches the checkpointed fleet.

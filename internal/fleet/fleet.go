@@ -12,7 +12,8 @@
 // round the shared store is read-only. The result: the fleet report is
 // byte-identical at any worker count, and a fleet killed at a round
 // barrier and resumed from its checkpoint reproduces the uninterrupted
-// run byte for byte (CI enforces both).
+// run byte for byte (TestDeterminismAcrossWorkers and
+// TestCheckpointKillResume enforce both).
 package fleet
 
 import (

@@ -130,7 +130,8 @@ func (f *Fleet) Report() *Report {
 // Render writes the deterministic text form of the report: a fleet summary
 // followed by one line per tenant in ID order. No wall-clock time, worker
 // count or map-ordered data appears — the bytes are the determinism
-// contract CI diffs across worker counts and across kill-and-resume.
+// contract TestDeterminismAcrossWorkers and TestCheckpointKillResume diff
+// across worker counts and across kill-and-resume.
 func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "fleet report (%s)\n", r.Schema)
 	fmt.Fprintf(w, "  tenants %d  seed %d  reuse %v  rounds %d\n", r.Tenants, r.Seed, r.Reuse, r.Rounds)

@@ -8,8 +8,9 @@
 // serializes outside it, so a scrape — however slow the client — can never
 // block a tuning goroutine for longer than one snapshot copy, never
 // advances a clock, and never consumes an RNG stream. Serving is provably
-// invisible: golden outputs are byte-identical with and without -serve
-// (CI enforces this).
+// invisible: results are identical with and without a live server
+// scraping them (TestServingPassivity, and the status-sink factor of
+// internal/tuner's TestInvariants, enforce this).
 //
 // The Registry decouples sessions from the server and is built for many
 // concurrent sessions — the multi-tenant fleet daemon of the roadmap will

@@ -204,9 +204,10 @@ func TestEventsSSEFollow(t *testing.T) {
 	}
 }
 
-// TestServingPassivity is the package-level half of the CI serving-identity
-// contract: a full tuning session run with a live server scraping it must
-// produce exactly the same results as an unobserved run.
+// TestServingPassivity is the serving-identity contract: a full tuning
+// session run with a live server scraping it must produce exactly the same
+// results as an unobserved run. While the served run is still up, the
+// endpoints must answer with its real data.
 func TestServingPassivity(t *testing.T) {
 	run := func(serve bool) (tuner.Curve, string) {
 		req := tuner.Request{
@@ -259,6 +260,25 @@ func TestServingPassivity(t *testing.T) {
 			}
 			if _, err := s.EvaluateBatch(batch); err != nil {
 				break
+			}
+		}
+		if serve {
+			for path, want := range map[string][]string{
+				"/metrics":  {"tuner.stress_waves", "tuner.wave_seconds_count"},
+				"/status":   {`"phase"`},
+				"/sessions": {"hunter-status/v1"},
+			} {
+				resp, err := http.Get("http://" + srv.Addr() + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				for _, w := range want {
+					if !strings.Contains(string(body), w) {
+						t.Errorf("%s of a live run lacks %q:\n%s", path, w, body)
+					}
+				}
 			}
 		}
 		best, _ := s.Best()

@@ -98,7 +98,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 // fields. Wall time is machine-specific, so this projection is the one
 // that is reproducible — two identically-driven runs (or a run and its
 // checkpoint-resumed twin) produce byte-identical output, which is what
-// the resume-identity tests and CI compare.
+// internal/tuner's TestInvariants and the resume tests compare.
 func (r *Recorder) WriteTraceVirtual(w io.Writer) error {
 	if r == nil {
 		return nil

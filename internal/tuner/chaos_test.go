@@ -3,14 +3,12 @@ package tuner
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/hunter-cdb/hunter/internal/chaos"
 	"github.com/hunter-cdb/hunter/internal/knob"
-	"github.com/hunter-cdb/hunter/internal/parallel"
 	"github.com/hunter-cdb/hunter/internal/telemetry"
 	"github.com/hunter-cdb/hunter/internal/workload"
 )
@@ -175,89 +173,6 @@ func TestQuarantineShrinksFleetToLoss(t *testing.T) {
 	}
 	if _, err := s.Evaluate(s.Space.Random(s.RNG)); !errors.Is(err, ErrFleetLost) {
 		t.Fatalf("post-loss Evaluate = %v, want ErrFleetLost", err)
-	}
-}
-
-// TestChaosCheckpointResumeIdentity is the determinism contract with a
-// fault plan armed: a session killed at a wave boundary and resumed from
-// its snapshot replays the exact fault plan and lands bit-identical to the
-// uninterrupted run — including the resilience tally — and does so across
-// worker-pool sizes.
-func TestChaosCheckpointResumeIdentity(t *testing.T) {
-	plan := &chaos.Plan{Seed: 9, Profile: chaos.Profile{
-		Name:                "hot",
-		TransientDeployProb: 0.25,
-		CrashProb:           0.20,
-		SlowIOProb:          0.30,
-		HangProb:            0.10,
-		QuarantineAfter:     5,
-	}}
-	const batches = 4
-	type finalState struct {
-		Waves, Steps, Pool int
-		Elapsed            time.Duration
-		NextRNG            int64
-		Resil              ResilienceReport
-	}
-	capture := func(s *Session) finalState {
-		return finalState{
-			Waves: s.WaveCount(), Steps: s.Steps(), Pool: s.Pool.Len(),
-			Elapsed: s.Elapsed(), NextRNG: s.RNG.Int63(), Resil: *s.Resilience(),
-		}
-	}
-	runBatches := func(s *Session, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, err := s.EvaluateBatch([][]float64{s.Space.Random(s.RNG), s.Space.Random(s.RNG)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Golden leg under workers=1.
-	prev := parallel.SetWorkers(1)
-	req := chaosRequest(plan)
-	g, err := NewSession(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBatches(g, batches)
-	golden := capture(g)
-	g.Close()
-	parallel.SetWorkers(prev)
-
-	if golden.Resil.Injected.Total() == 0 {
-		t.Fatal("the hot profile injected nothing — the identity check is vacuous")
-	}
-
-	for _, workers := range []int{1, 8} {
-		prev := parallel.SetWorkers(workers)
-		dir := t.TempDir()
-		req := chaosRequest(plan)
-		req.Checkpoint = &CheckpointPolicy{Dir: dir}
-		s, err := NewSession(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runBatches(s, batches/2)
-		if err := s.WriteCheckpoint(nil); err != nil {
-			t.Fatal(err)
-		}
-		path := s.CheckpointPath()
-		s.Close()
-
-		r, _, err := ResumeSession(context.Background(), req, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runBatches(r, batches/2)
-		got := capture(r)
-		r.Close()
-		parallel.SetWorkers(prev)
-
-		if !reflect.DeepEqual(golden, got) {
-			t.Fatalf("workers=%d: resumed run diverged from golden\ngolden: %+v\ngot:    %+v", workers, golden, got)
-		}
 	}
 }
 

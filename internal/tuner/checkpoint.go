@@ -33,7 +33,7 @@ type CheckpointPolicy struct {
 	Every int
 	// StopAfterWaves, when positive, makes the session checkpoint and
 	// stop (ErrStopRequested) once that many waves have run — the
-	// "kill after wave k" hook the resume-identity tests and CI use.
+	// "kill after wave k" hook the resume tests and TestInvariants use.
 	StopAfterWaves int
 }
 
@@ -157,7 +157,6 @@ type sessionState struct {
 	SinceMonitor  int
 	SinceDeploy   int
 	MonitorLog    []MonitorPoint
-	CanaryCount   int
 
 	UserID   string
 	CloneIDs []string
@@ -246,7 +245,6 @@ func (s *Session) WriteCheckpoint(algo checkpoint.Snapshotter) error {
 		st.SinceMonitor = s.sinceMonitor
 		st.SinceDeploy = s.sinceDeploy
 		st.MonitorLog = s.monitorLog
-		st.CanaryCount = s.canaryCount
 	}
 	for _, c := range s.Clones {
 		st.CloneIDs = append(st.CloneIDs, c.ID)
@@ -330,6 +328,9 @@ func ResumeSession(ctx context.Context, req Request, path string) (*Session, *ch
 		return nil, nil, fmt.Errorf("tuner: decoding session state: %w", err)
 	}
 	if err := checkFingerprint(&st, &req); err != nil {
+		return nil, nil, err
+	}
+	if err := checkBookkeeping(&st); err != nil {
 		return nil, nil, err
 	}
 
@@ -482,7 +483,6 @@ func ResumeSession(ctx context.Context, req Request, path string) (*Session, *ch
 		s.sinceMonitor = st.SinceMonitor
 		s.sinceDeploy = st.SinceDeploy
 		s.monitorLog = st.MonitorLog
-		s.canaryCount = st.CanaryCount
 	}
 	s.initStatus()
 	s.publishStatus(false)
@@ -564,6 +564,25 @@ func checkFingerprint(st *sessionState, req *Request) error {
 		if got := req.Safety.WithDefaults(); got != *st.Safety {
 			return mismatch("safety options", got, *st.Safety)
 		}
+	}
+	return nil
+}
+
+// checkBookkeeping rejects counters a resumed run would index or count
+// with: a checkpoint that passes its CRCs can still carry values no run
+// writes, and they must fail the resume rather than the continued run.
+func checkBookkeeping(st *sessionState) error {
+	bad := func(field string, v any) error {
+		return fmt.Errorf("tuner: checkpoint %s = %v is out of range", field, v)
+	}
+	if st.Steps < 0 {
+		return bad("Steps", st.Steps)
+	}
+	if st.WaveCount < 0 {
+		return bad("WaveCount", st.WaveCount)
+	}
+	if st.DriftIdx < 0 || st.DriftIdx > len(st.DriftQueue) {
+		return bad("DriftIdx", st.DriftIdx)
 	}
 	return nil
 }

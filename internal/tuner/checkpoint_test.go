@@ -3,12 +3,15 @@ package tuner
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/hunter-cdb/hunter/internal/checkpoint"
 	"github.com/hunter-cdb/hunter/internal/telemetry"
 	"github.com/hunter-cdb/hunter/internal/workload"
 )
@@ -196,4 +199,143 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		filepath.Join(t.TempDir(), CheckpointFileName)); err == nil {
 		t.Fatal("missing checkpoint accepted")
 	}
+}
+
+// driftCheckpoint is a snapshot of a session with a two-entry drift queue,
+// neither entry fired yet.
+func driftCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	s, err := NewSession(ckptRequest(dir))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	for i, p := range []*workload.Profile{workload.SysbenchRO(), workload.SysbenchWO()} {
+		if err := s.ScheduleDrift(time.Duration(i+1)*45*time.Minute, p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := s.EvaluateBatch([][]float64{s.Space.Random(s.RNG), s.Space.Random(s.RNG)}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(nil); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(s.CheckpointPath())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// craftCheckpoint re-encodes a snapshot with its session state edited,
+// under valid CRCs, and returns the new file's path.
+func craftCheckpoint(tb testing.TB, data []byte, edit func(*sessionState)) string {
+	tb.Helper()
+	file, err := checkpoint.Decode(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := checkpoint.NewWriter()
+	for _, name := range file.Names() {
+		raw, err := file.Bytes(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if name == sectionSession {
+			var st sessionState
+			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
+				tb.Fatal(err)
+			}
+			edit(&st)
+			var b bytes.Buffer
+			if err := gob.NewEncoder(&b).Encode(st); err != nil {
+				tb.Fatal(err)
+			}
+			raw = b.Bytes()
+		}
+		if err := w.AddBytes(name, raw); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	path := filepath.Join(tb.TempDir(), CheckpointFileName)
+	if err := w.WriteFile(path); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// runResumed drives a resumed session with random waves until its budget
+// is spent.
+func runResumed(t *testing.T, s *Session) {
+	t.Helper()
+	for {
+		_, err := s.EvaluateBatch([][]float64{s.Space.Random(s.RNG), s.Space.Random(s.RNG)})
+		if errors.Is(err, ErrBudgetExhausted) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResumeRejectsBadBookkeeping: a snapshot that passes its CRCs but
+// carries counters no run writes must fail ResumeSession with an error
+// naming the field, not panic in the first resumed wave.
+func TestResumeRejectsBadBookkeeping(t *testing.T) {
+	data := driftCheckpoint(t)
+	cases := []struct {
+		field string
+		edit  func(*sessionState)
+	}{
+		{"DriftIdx", func(st *sessionState) { st.DriftIdx = -1 }},
+		{"DriftIdx", func(st *sessionState) { st.DriftIdx = len(st.DriftQueue) + 1 }},
+		{"Steps", func(st *sessionState) { st.Steps = -1 }},
+		{"WaveCount", func(st *sessionState) { st.WaveCount = -1 }},
+	}
+	for _, tc := range cases {
+		path := craftCheckpoint(t, data, tc.edit)
+		s, _, err := ResumeSession(context.Background(), ckptRequest(filepath.Dir(path)), path)
+		if err == nil {
+			s.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: ResumeSession err = %v, want an error naming %s", tc.field, err, tc.field)
+		}
+	}
+	// Every in-range drift index resumes and runs to the end.
+	for idx := 0; idx <= 2; idx++ {
+		path := craftCheckpoint(t, data, func(st *sessionState) { st.DriftIdx = idx })
+		s, _, err := ResumeSession(context.Background(), ckptRequest(filepath.Dir(path)), path)
+		if err != nil {
+			t.Fatalf("DriftIdx %d: %v", idx, err)
+		}
+		runResumed(t, s)
+		s.Close()
+	}
+}
+
+// FuzzResumeSession overwrites a real snapshot's decoded bookkeeping with
+// fuzz inputs and re-wraps it under valid CRCs (fuzzing raw bytes never
+// gets past the CRC). ResumeSession must return an error, or the resumed
+// session must run out its budget without panicking.
+func FuzzResumeSession(f *testing.F) {
+	data := driftCheckpoint(f)
+	f.Add(0, 2, 1, int64(10*time.Minute))
+	f.Add(-1, 2, 1, int64(10*time.Minute))
+	f.Add(3, -1, -1, int64(-1))
+	f.Add(2, 1<<40, 1<<40, int64(3*time.Hour))
+	f.Fuzz(func(t *testing.T, driftIdx, steps, waves int, clock int64) {
+		path := craftCheckpoint(t, data, func(st *sessionState) {
+			st.DriftIdx, st.Steps, st.WaveCount, st.Clock = driftIdx, steps, waves, time.Duration(clock)
+		})
+		s, _, err := ResumeSession(context.Background(), ckptRequest(filepath.Dir(path)), path)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		runResumed(t, s)
+	})
 }

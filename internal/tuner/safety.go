@@ -249,7 +249,7 @@ func (s *Session) tryDeploy() {
 	cands := s.rankedCandidates()
 	for _, c := range cands {
 		if !opts.Guardrails {
-			s.deployCandidate(c.Knobs, c.Point, s.Fitness(c.Perf), c.Perf)
+			s.deployCandidate(c.Knobs, c.Point, s.Fitness(c.Perf), c.Perf, s.guard.Baseline())
 			return
 		}
 		point, _ := s.guard.ClampStep(s.deployedPoint, c.Point)
@@ -267,12 +267,13 @@ func (s *Session) tryDeploy() {
 			reason = "canary_failed"
 		} else {
 			var pass bool
-			pass, reason = s.guard.GateDeploy(med, s.guard.Baseline())
+			baseline := s.guard.Baseline()
+			pass, reason = s.guard.GateDeploy(med, baseline)
 			if pass && s.Fitness(med) <= s.deployedFit {
 				pass, reason = false, "no_improvement"
 			}
 			if pass {
-				s.deployCandidate(cfg, point, s.Fitness(med), med)
+				s.deployCandidate(cfg, point, s.Fitness(med), med, baseline)
 				return
 			}
 		}
@@ -350,7 +351,6 @@ func (s *Session) canary(cfg knob.Config) (simdb.Perf, bool) {
 	}
 	s.charge("canary_wave", waveMax)
 	s.guard.NoteCanary()
-	s.canaryCount++
 	if s.Trace != nil {
 		s.Trace.Event("deploy_canary", telemetry.A("replicas", float64(k)))
 		s.tel.canaries.Add(1)
@@ -363,7 +363,10 @@ func (s *Session) canary(cfg knob.Config) (simdb.Perf, bool) {
 
 // deployCandidate pushes a candidate onto the user instance and promotes
 // the bookkeeping: the previous deployed config becomes last-known-good.
-func (s *Session) deployCandidate(cfg knob.Config, point []float64, fit float64, perf simdb.Perf) {
+// perf and baselineTPS are the evidence the deploy was decided on (the
+// canary median and the rolling baseline the gate compared it against);
+// the online_deploy event carries both.
+func (s *Session) deployCandidate(cfg knob.Config, point []float64, fit float64, perf simdb.Perf, baselineTPS float64) {
 	took, err := s.deployToUser(cfg)
 	if err != nil {
 		s.logf("online deploy failed", "err", err.Error())
@@ -389,7 +392,11 @@ func (s *Session) deployCandidate(cfg knob.Config, point []float64, fit float64,
 	}
 	s.guard.NoteDeploy(seedTPS)
 	if s.Trace != nil {
-		s.Trace.Event("online_deploy", telemetry.A("fitness", fit))
+		s.Trace.Event("online_deploy",
+			telemetry.A("fitness", fit),
+			telemetry.A("tps", perf.ThroughputTPS),
+			telemetry.A("p99_ms", perf.P99LatencyMs),
+			telemetry.A("baseline_tps", baselineTPS))
 		s.tel.deploys.Add(1)
 	}
 	s.logf("deployed candidate online", "fitness", fit, "tps", perf.ThroughputTPS)

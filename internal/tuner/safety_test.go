@@ -1,98 +1,12 @@
 package tuner
 
 import (
-	"context"
-	"errors"
-	"reflect"
 	"testing"
 	"time"
 
-	"github.com/hunter-cdb/hunter/internal/chaos"
-	"github.com/hunter-cdb/hunter/internal/parallel"
 	"github.com/hunter-cdb/hunter/internal/safety"
 	"github.com/hunter-cdb/hunter/internal/workload"
 )
-
-// safetyRequest is the fixed scenario the online-safety tests run under:
-// a guarded TPC-C session whose diurnal drift stream collapses demand into
-// a deep overnight trough — the same shape the safety experiment uses,
-// shrunk to test scale.
-func safetyRequest(opts *safety.Options) Request {
-	return Request{
-		Workload: workload.TPCC(),
-		Budget:   5 * time.Hour,
-		Clones:   3,
-		Seed:     21,
-		Safety:   opts,
-	}
-}
-
-func scheduleTestStream(t *testing.T, s *Session) []workload.DriftEvent {
-	t.Helper()
-	events, err := workload.GenerateStream(workload.TPCC(), workload.StreamSpec{
-		Kind:      workload.StreamDiurnal,
-		Period:    5 * time.Hour,
-		Events:    4,
-		Amplitude: 0.9,
-		Seed:      21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if err := s.ScheduleDrift(ev.At, ev.Profile); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return events
-}
-
-// safetyState is everything the determinism and resume-identity tests
-// compare: the wave loop's position, the guard's full report, and the
-// deployed-config bookkeeping.
-type safetyState struct {
-	Waves, Steps, Pool int
-	Elapsed            time.Duration
-	NextRNG            int64
-	Report             SafetyReport
-	Timeline           []MonitorPoint
-	DeployedKey        string
-	DriftIdx           int
-	BestSince          time.Duration
-	Workload           string
-}
-
-func captureSafety(s *Session) safetyState {
-	return safetyState{
-		Waves: s.WaveCount(), Steps: s.Steps(), Pool: s.Pool.Len(),
-		Elapsed: s.Elapsed(), NextRNG: s.RNG.Int63(),
-		Report:      *s.Safety(),
-		Timeline:    s.DeployedTimeline(),
-		DeployedKey: s.deployedCfg.Key(),
-		DriftIdx:    s.driftIdx,
-		BestSince:   s.bestSince,
-		Workload:    s.Req.Workload.Name,
-	}
-}
-
-// runToExhaustion drives three-config random waves until the budget runs
-// out, returning how many waves ran.
-func runToExhaustion(t *testing.T, s *Session) int {
-	t.Helper()
-	n := 0
-	for {
-		_, err := s.EvaluateBatch([][]float64{
-			s.Space.Random(s.RNG), s.Space.Random(s.RNG), s.Space.Random(s.RNG),
-		})
-		if errors.Is(err, ErrBudgetExhausted) {
-			return n
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-}
 
 // TestScheduleDriftQueue: drifts scheduled out of order queue in time
 // order, fire in sequence, and late insertions land in the pending tail
@@ -146,150 +60,6 @@ func TestScheduleDriftQueue(t *testing.T) {
 		if got[i].Profile.Name != name {
 			t.Fatalf("queue[%d] = %s, want %s (%+v)", i, got[i].Profile.Name, name, got)
 		}
-	}
-}
-
-// TestGuardedSessionWorkerDeterminism: a guarded drift-stream session is
-// byte-identical in all observable state at any worker-pool size.
-func TestGuardedSessionWorkerDeterminism(t *testing.T) {
-	run := func(workers int) safetyState {
-		prev := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(prev)
-		s, err := NewSession(safetyRequest(&safety.Options{Guardrails: true}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		scheduleTestStream(t, s)
-		runToExhaustion(t, s)
-		return captureSafety(s)
-	}
-	golden := run(1)
-	if golden.Report.Deploys == 0 && golden.Report.Blocks == 0 {
-		t.Fatal("guarded session neither deployed nor blocked — determinism check is vacuous")
-	}
-	if got := run(8); !reflect.DeepEqual(golden, got) {
-		t.Fatalf("workers=8 diverged\ngolden: %+v\ngot:    %+v", golden, got)
-	}
-}
-
-// TestSafetyCheckpointResumeIdentity: kill the session between the first
-// guardrail block and the rollback, resume from the snapshot, and the
-// finished run must be identical to the uninterrupted golden — at any
-// worker count. This is the hard case: the guard is mid-state (blocked
-// keys set, violations accumulating, trust radius shrunk) and the drift
-// queue is partially fired.
-func TestSafetyCheckpointResumeIdentity(t *testing.T) {
-	opts := &safety.Options{Guardrails: true}
-
-	// Golden leg (workers=1): run to exhaustion, remembering after which
-	// wave the first guardrail block appeared and when the rollback hit.
-	prev := parallel.SetWorkers(1)
-	g, err := NewSession(safetyRequest(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheduleTestStream(t, g)
-	splitWave := 0
-	wave := 0
-	for {
-		_, err := g.EvaluateBatch([][]float64{
-			g.Space.Random(g.RNG), g.Space.Random(g.RNG), g.Space.Random(g.RNG),
-		})
-		if errors.Is(err, ErrBudgetExhausted) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		wave++
-		c := g.guard.Counts()
-		if c.Blocks >= 1 && c.Rollbacks == 0 {
-			splitWave = wave // latest wave still between block and rollback
-		}
-	}
-	golden := captureSafety(g)
-	g.Close()
-	parallel.SetWorkers(prev)
-
-	if golden.Report.Blocks == 0 || golden.Report.Rollbacks == 0 {
-		t.Fatalf("scenario produced %d block(s) and %d rollback(s) — need both for the mid-rollback kill",
-			golden.Report.Blocks, golden.Report.Rollbacks)
-	}
-	if splitWave == 0 {
-		t.Fatal("no wave sits between the first guardrail block and the rollback")
-	}
-
-	for _, workers := range []int{1, 8} {
-		prev := parallel.SetWorkers(workers)
-		dir := t.TempDir()
-		req := safetyRequest(opts)
-		req.Checkpoint = &CheckpointPolicy{Dir: dir}
-		s, err := NewSession(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scheduleTestStream(t, s)
-		for i := 0; i < splitWave; i++ {
-			if _, err := s.EvaluateBatch([][]float64{
-				s.Space.Random(s.RNG), s.Space.Random(s.RNG), s.Space.Random(s.RNG),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c := s.guard.Counts(); c.Blocks < 1 || c.Rollbacks != 0 {
-			t.Fatalf("workers=%d: kill point has %d block(s), %d rollback(s) — not between block and rollback",
-				workers, c.Blocks, c.Rollbacks)
-		}
-		if err := s.WriteCheckpoint(nil); err != nil {
-			t.Fatal(err)
-		}
-		path := s.CheckpointPath()
-		s.Close()
-
-		r, _, err := ResumeSession(context.Background(), req, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runToExhaustion(t, r)
-		got := captureSafety(r)
-		r.Close()
-		parallel.SetWorkers(prev)
-
-		if !reflect.DeepEqual(golden, got) {
-			t.Fatalf("workers=%d: resumed run diverged from golden\ngolden: %+v\ngot:    %+v",
-				workers, golden, got)
-		}
-	}
-}
-
-// TestSafetyWithChaosFlaky: the online safety loop composes with fault
-// injection — canary waves ride the retry/repair machinery, the session
-// completes, and the run stays deterministic.
-func TestSafetyWithChaosFlaky(t *testing.T) {
-	run := func(workers int) safetyState {
-		prev := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(prev)
-		req := safetyRequest(&safety.Options{Guardrails: true})
-		req.Chaos = &chaos.Plan{Seed: 7, Profile: chaos.Flaky()}
-		s, err := NewSession(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		scheduleTestStream(t, s)
-		runToExhaustion(t, s)
-		if s.Resilience().Injected.Total() == 0 {
-			t.Fatal("flaky profile injected nothing")
-		}
-		return captureSafety(s)
-	}
-	golden := run(1)
-	if golden.Report.Canaries == 0 {
-		t.Fatal("no canary waves ran under chaos — composition check is vacuous")
-	}
-	if got := run(8); !reflect.DeepEqual(golden, got) {
-		t.Fatalf("workers=8 diverged under chaos\ngolden: %+v\ngot:    %+v", golden, got)
 	}
 }
 

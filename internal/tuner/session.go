@@ -180,7 +180,6 @@ type Session struct {
 	sinceMonitor  int
 	sinceDeploy   int
 	monitorLog    []MonitorPoint
-	canaryCount   int
 
 	// Checkpoint bookkeeping: total stress waves, the wave the last
 	// snapshot covered, and the request's pre-drift workload name (part of

@@ -38,7 +38,7 @@ func main() {
 		queue    = flag.Int("queue-depth", 0, "admission queue capacity (0 = admit all)")
 		tBudget  = flag.Duration("tenant-budget", 0, "clamp each tenant's virtual budget (0 = as requested)")
 		fBudget  = flag.Duration("fleet-budget", 0, "fleet-wide virtual-time pool; tenants beyond it are evicted (0 = unlimited)")
-		ckptDir  = flag.String("checkpoint-dir", "", "directory for incremental fleet snapshots (enables checkpointing)")
+		ckptDir  = flag.String("checkpoint-dir", "", "directory for fleet snapshots (enables checkpointing)")
 		ckptEvry = flag.Int("checkpoint-every", 1, "rounds between snapshots")
 		resume   = flag.Bool("resume", false, "continue the fleet from the snapshot in -checkpoint-dir")
 		stopAt   = flag.Int("stop-after-rounds", 0, "checkpoint and stop after this many rounds (interruption testing)")

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"github.com/hunter-cdb/hunter/internal/checkpoint"
 	"github.com/hunter-cdb/hunter/internal/fleet"
@@ -20,30 +19,19 @@ func inspectCheckpoint(w io.Writer, path string) error {
 		return err
 	}
 	names := f.Names()
-	isFleet := f.Has("fleet-meta")
 	fmt.Fprintf(w, "checkpoint %s: %d section(s), integrity OK\n", path, len(names))
 	fmt.Fprintf(w, "  %-16s %12s\n", "section", "bytes")
-	var total, tenantBytes, tenantSections int
+	var total int
 	for _, name := range names {
 		payload, err := f.Bytes(name)
 		if err != nil {
 			return err
 		}
 		total += len(payload)
-		// A big fleet has hundreds of tenant sections; fold them into one
-		// summary row instead of drowning the table.
-		if isFleet && strings.HasPrefix(name, "tenant/") {
-			tenantBytes += len(payload)
-			tenantSections++
-			continue
-		}
 		fmt.Fprintf(w, "  %-16s %12d\n", name, len(payload))
 	}
-	if tenantSections > 0 {
-		fmt.Fprintf(w, "  %-16s %12d\n", fmt.Sprintf("tenant/* (%d)", tenantSections), tenantBytes)
-	}
 	fmt.Fprintf(w, "  %-16s %12d\n", "(payload total)", total)
-	if isFleet {
+	if f.Has("fleet-meta") {
 		return inspectFleetCheckpoint(w, path)
 	}
 	wave, clock, err := tuner.PeekCheckpoint(path)
@@ -64,8 +52,8 @@ func inspectFleetCheckpoint(w io.Writer, path string) error {
 		info.Tenants, info.Seed, info.Reuse)
 	fmt.Fprintf(w, "  resume point: round %d, next tenant %d, pool %s\n",
 		info.Rounds, info.Next, info.Pool)
-	fmt.Fprintf(w, "  progress: done %d  failed %d  tenant sections %d\n",
-		info.Done, info.Failed, info.TenantSections)
+	fmt.Fprintf(w, "  progress: done %d  failed %d  tenant results %d\n",
+		info.Done, info.Failed, info.Results)
 	fmt.Fprintf(w, "  reuse: probes %d  hits %d  stores %d  shared models %d\n",
 		info.ReuseProbes, info.ReuseHits, info.ReuseStores, info.StoreModels)
 	return nil

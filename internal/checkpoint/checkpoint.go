@@ -70,48 +70,33 @@ type Restorer interface {
 	RestoreFrom(r io.Reader) error
 }
 
-// Writer accumulates named sections and renders them as one container. A
-// Writer may be kept alive across many Encode calls as an incremental
-// section cache: replacing one section's payload leaves every other
-// section's bytes — and its cached CRC — untouched, so a periodic snapshot
-// only pays serialization and checksumming for the sections that actually
-// changed (the fleet checkpointer rewrites only dirty tenants this way).
+// Writer accumulates named sections and renders them as one container.
 type Writer struct {
 	names    []string
 	payloads [][]byte
-	crcs     []uint32
-	index    map[string]int
 }
 
 // NewWriter returns an empty checkpoint writer.
-func NewWriter() *Writer {
-	return &Writer{index: make(map[string]int)}
-}
+func NewWriter() *Writer { return &Writer{} }
 
-// AddBytes appends a raw section. Adding a duplicate name replaces the
-// earlier payload (last write wins), keeping the original position. The
-// payload's CRC is computed here, once per add, not on every Encode.
+// AddBytes appends a raw section. Section names are unique: adding a name
+// twice is an error, as it is for Decode.
 func (w *Writer) AddBytes(name string, payload []byte) error {
 	if len(name) == 0 || len(name) > maxNameLen {
 		return fmt.Errorf("checkpoint: section name %q: length must be in [1,%d]", name, maxNameLen)
 	}
-	if i, ok := w.index[name]; ok {
-		w.payloads[i] = payload
-		w.crcs[i] = crc32.ChecksumIEEE(payload)
-		return nil
+	for _, n := range w.names {
+		if n == name {
+			return fmt.Errorf("checkpoint: duplicate section %q", name)
+		}
 	}
 	if len(w.names) >= maxSections {
 		return fmt.Errorf("checkpoint: too many sections (max %d)", maxSections)
 	}
-	w.index[name] = len(w.names)
 	w.names = append(w.names, name)
 	w.payloads = append(w.payloads, payload)
-	w.crcs = append(w.crcs, crc32.ChecksumIEEE(payload))
 	return nil
 }
-
-// Has reports whether the writer already holds a section under name.
-func (w *Writer) Has(name string) bool { _, ok := w.index[name]; return ok }
 
 // Add serializes a component into a named section.
 func (w *Writer) Add(name string, s Snapshotter) error {
@@ -139,9 +124,7 @@ func (w *Writer) Encode() []byte {
 		head.WriteString(name)
 		binary.BigEndian.PutUint64(u64[:], uint64(len(w.payloads[i])))
 		head.Write(u64[:])
-		// Per-section CRCs were computed when the payload was added; an
-		// incremental Encode only checksums the header, not every payload.
-		binary.BigEndian.PutUint32(u32[:], w.crcs[i])
+		binary.BigEndian.PutUint32(u32[:], crc32.ChecksumIEEE(w.payloads[i]))
 		head.Write(u32[:])
 	}
 	binary.BigEndian.PutUint32(u32[:], crc32.ChecksumIEEE(head.Bytes()))

@@ -65,20 +65,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDuplicateAddReplaces(t *testing.T) {
+func TestDuplicateAddRejected(t *testing.T) {
 	w := NewWriter()
 	if err := w.AddBytes("a", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddBytes("a", []byte("new")); err != nil {
-		t.Fatal(err)
+	if err := w.AddBytes("a", []byte("new")); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("second add of %q: err = %v, want a duplicate-section error", "a", err)
 	}
 	f, err := Decode(w.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := f.Bytes("a"); string(p) != "new" {
-		t.Fatalf("payload = %q, want new", p)
+	if p, _ := f.Bytes("a"); string(p) != "old" {
+		t.Fatalf("payload = %q, want old", p)
 	}
 	if n := f.Names(); len(n) != 1 {
 		t.Fatalf("sections = %v, want one", n)
@@ -181,6 +181,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("directory has %d entries, want just the checkpoint", len(entries))
 	}
 	// Overwrite goes through the same atomic path.
+	w = NewWriter()
 	if err := w.AddBytes("x", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}

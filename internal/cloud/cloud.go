@@ -225,27 +225,31 @@ type providerTel struct {
 	deployDur  *telemetry.Histogram // virtual knob-deployment times
 }
 
-// SetRecorder attaches the control plane (and every engine it provisions
-// from now on) to a telemetry recorder. A nil recorder detaches; existing
-// instances keep whatever attachment they were created with.
+// SetRecorder attaches (or, with nil, detaches) the control plane, every
+// currently active instance and its engine to a telemetry recorder.
+// Instances provisioned later inherit the attachment automatically.
 func (p *Provider) SetRecorder(r *telemetry.Recorder) {
 	p.rec = r
-	if r == nil {
-		p.tel = nil
-		return
+	p.tel = nil
+	if r != nil {
+		p.tel = &providerTel{
+			created:   r.Counter("cloud.instances_created"),
+			clones:    r.Counter("cloud.clones_created"),
+			denied:    r.Counter("cloud.clones_denied"),
+			released:  r.Counter("cloud.instances_released"),
+			restarts:  r.Counter("cloud.restarts"),
+			bootFails: r.Counter("cloud.boot_failures"),
+			active:    r.Gauge("cloud.instances_active"),
+			deployDur: r.Histogram("cloud.deploy_seconds"),
+		}
+		if p.chaos != nil {
+			p.tel.transients = r.Counter("cloud.transient_faults")
+		}
+		p.tel.active.Set(float64(len(p.active)))
 	}
-	p.tel = &providerTel{
-		created:   r.Counter("cloud.instances_created"),
-		clones:    r.Counter("cloud.clones_created"),
-		denied:    r.Counter("cloud.clones_denied"),
-		released:  r.Counter("cloud.instances_released"),
-		restarts:  r.Counter("cloud.restarts"),
-		bootFails: r.Counter("cloud.boot_failures"),
-		active:    r.Gauge("cloud.instances_active"),
-		deployDur: r.Histogram("cloud.deploy_seconds"),
-	}
-	if p.chaos != nil {
-		p.tel.transients = r.Counter("cloud.transient_faults")
+	for _, inst := range p.active {
+		inst.tel = p.tel
+		inst.engine.SetRecorder(r)
 	}
 }
 

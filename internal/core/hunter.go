@@ -99,12 +99,17 @@ func (o Options) withDefaults() Options {
 
 // Hunter is the hybrid tuning system.
 type Hunter struct {
-	opts Options
-	// diagnostics populated during Tune.
-	lastPCADim   int
-	lastTopKnobs []string
-	reused       bool
-	model        *Model
+	opts  Options
+	diag  diagnostics
+	model *Model
+}
+
+// diagnostics record what the last run decided; a checkpoint carries them
+// so a resumed run reports the same.
+type diagnostics struct {
+	Reused   bool     // fine-tuned a historical model
+	PCADim   int      // compressed state dimension
+	TopKnobs []string // knobs selected for fine tuning
 }
 
 // New creates a HUNTER tuner with the given options.
@@ -114,13 +119,13 @@ func New(opts Options) *Hunter { return &Hunter{opts: opts.withDefaults()} }
 func (h *Hunter) Name() string { return "HUNTER" }
 
 // PCADim reports the compressed state dimension chosen in the last run.
-func (h *Hunter) PCADim() int { return h.lastPCADim }
+func (h *Hunter) PCADim() int { return h.diag.PCADim }
 
 // TopKnobs reports the knobs the last run selected for fine tuning.
-func (h *Hunter) TopKnobs() []string { return append([]string(nil), h.lastTopKnobs...) }
+func (h *Hunter) TopKnobs() []string { return append([]string(nil), h.diag.TopKnobs...) }
 
 // Reused reports whether the last run fine-tuned a historical model.
-func (h *Hunter) Reused() bool { return h.reused }
+func (h *Hunter) Reused() bool { return h.diag.Reused }
 
 // Model returns the Recommender the last run trained, for the caller to
 // commit to the registry. It reports false when no registry was configured
@@ -150,12 +155,10 @@ func (h *Hunter) Tune(s *tuner.Session) error { return h.run(s, nil) }
 // always carry the live phase state. tuner.ErrStopRequested (the
 // stop-after-checkpoint hook) propagates to the caller.
 func (h *Hunter) run(s *tuner.Session, st *algoState) error {
-	h.lastPCADim, h.lastTopKnobs, h.reused, h.model = 0, nil, false, nil
+	h.diag, h.model = diagnostics{}, nil
 	m := &machine{h: h, firstPass: true}
 	if st != nil {
-		h.reused = st.Reused
-		h.lastPCADim = st.LastPCADim
-		h.lastTopKnobs = st.LastTop
+		h.diag = st.Diag
 		m.firstPass = st.FirstPass
 	}
 
@@ -219,16 +222,16 @@ func (h *Hunter) run(s *tuner.Session, st *algoState) error {
 			if err != nil {
 				return err
 			}
-			if h.opts.Registry != nil && !h.reused {
+			if h.opts.Registry != nil && !h.diag.Reused {
 				if donor, ok := h.opts.Registry.Match(h.signature(s), opt.Space().Names(), opt.StateDim()); ok {
 					if err := rec.Restore(donor.Snap); err == nil {
-						h.reused = true
+						h.diag.Reused = true
 					}
 				}
 			}
 		}
-		h.lastPCADim = opt.StateDim()
-		h.lastTopKnobs = opt.Space().Names()
+		h.diag.PCADim = opt.StateDim()
+		h.diag.TopKnobs = opt.Space().Names()
 		m.opt, m.rec = opt, rec
 
 		err = rec.Run(m)

@@ -25,21 +25,31 @@ type recommender struct {
 	agent *ddpg.Agent
 	rng   *sim.RNG
 
-	bestAction []float64
-	bestFit    float64
-	state      []float64
-	steps      int
-	// stagnation counts waves without improvement; exploration widens
+	st      recState
+	resumed bool
+}
+
+// recState is the Recommender's durable exploration state. The
+// recommender keeps it as one value; only the checkpoint copy carries the
+// nested agent snapshot (networks, optimizer moments, replay buffer,
+// internal RNG) and the recommender's own forked RNG mid-stream.
+type recState struct {
+	Agent      []byte
+	RNG        sim.RNGState
+	BestAction []float64
+	BestFit    float64
+	State      []float64
+	Steps      int
+	// Stagnation counts waves without improvement; exploration widens
 	// when the search stalls and tightens again on progress.
-	stagnation int
-	// wave numbers the exploration waves (wave%5 schedules the periodic
-	// full-space probe); it persists across a checkpoint/resume.
-	wave int
-	// phaseStart is the virtual time the phase span opened at; a resumed
+	Stagnation int
+	// Wave numbers the exploration waves (Wave%5 schedules the periodic
+	// full-space probe).
+	Wave int
+	// PhaseStart is the virtual time the phase span opened at; a resumed
 	// recommender re-opens the span there so the trace matches an
 	// uninterrupted run.
-	phaseStart time.Duration
-	resumed    bool
+	PhaseStart time.Duration
 }
 
 func newRecommender(opts Options, s *tuner.Session, opt *spaceOptimizer) (*recommender, error) {
@@ -53,13 +63,12 @@ func newRecommender(opts Options, s *tuner.Session, opt *spaceOptimizer) (*recom
 		return nil, err
 	}
 	r := &recommender{
-		opts:    opts,
-		s:       s,
-		opt:     opt,
-		agent:   agent,
-		rng:     rng,
-		bestFit: math.Inf(-1),
-		state:   make([]float64, opt.StateDim()),
+		opts:  opts,
+		s:     s,
+		opt:   opt,
+		agent: agent,
+		rng:   rng,
+		st:    recState{BestFit: math.Inf(-1), State: make([]float64, opt.StateDim())},
 	}
 	r.warmStart()
 	return r, nil
@@ -97,11 +106,11 @@ func (r *recommender) warmStart() {
 		})
 		if len(smp.State) == metrics.Count {
 			prev = next
-			r.state = next
+			r.st.State = next
 		}
-		if fit > r.bestFit {
-			r.bestFit = fit
-			r.bestAction = action
+		if fit > r.st.BestFit {
+			r.st.BestFit = fit
+			r.st.BestAction = action
 		}
 	}
 	if r.opts.Warmup == WarmupHER {
@@ -131,25 +140,25 @@ func (r *recommender) warmStart() {
 // "explore based on relatively better configurations" behaviour. The
 // refinement radius anneals as the search matures.
 func (r *recommender) fes(action []float64) []float64 {
-	if r.opts.DisableFES || r.bestAction == nil {
+	if r.opts.DisableFES || r.st.BestAction == nil {
 		return action
 	}
-	pc := 1 - 0.7*math.Exp(-float64(r.steps)/45)
+	pc := 1 - 0.7*math.Exp(-float64(r.st.Steps)/45)
 	if pc > 0.88 {
 		pc = 0.88
 	}
 	if r.rng.Float64() < pc {
 		return action
 	}
-	return tuner.PerturbPoint(r.bestAction, r.refineRadius(), r.rng)
+	return tuner.PerturbPoint(r.st.BestAction, r.refineRadius(), r.rng)
 }
 
 // refineRadius is the A_best perturbation width: it anneals with progress
 // and widens again when the search stagnates.
 func (r *recommender) refineRadius() float64 {
-	rad := 0.03 + 0.09*math.Exp(-float64(r.steps)/350)
-	if r.stagnation > 12 {
-		rad *= 1 + 0.1*float64(r.stagnation-12)
+	rad := 0.03 + 0.09*math.Exp(-float64(r.st.Steps)/350)
+	if r.st.Stagnation > 12 {
+		rad *= 1 + 0.1*float64(r.st.Stagnation-12)
 		if rad > 0.3 {
 			rad = 0.3
 		}
@@ -176,22 +185,22 @@ const stallLimit = 40
 // whose samples let a later re-optimization recover any knob the sifting
 // wrongly dropped.
 func (r *recommender) Run(barrier checkpoint.Snapshotter) error {
-	s := r.s
+	s, st := r.s, &r.st
 	if !r.resumed {
-		r.phaseStart = s.Clock.Now()
+		st.PhaseStart = s.Clock.Now()
 	}
 	s.EnterPhase("ddpg_explore")
 	if s.Trace != nil {
-		sp := s.Trace.StartAt("ddpg_explore", r.phaseStart)
-		defer func() { sp.End(telemetry.A("steps", float64(r.steps))) }()
+		sp := s.Trace.StartAt("ddpg_explore", st.PhaseStart)
+		defer func() { sp.End(telemetry.A("steps", float64(st.Steps))) }()
 	}
 	space := r.opt.Space()
 	for !s.Exhausted() {
-		r.wave++
+		st.Wave++
 		n := len(s.Clones)
 		actions := make([][]float64, n)
 		wideSlot := -1
-		if n >= 4 || r.wave%5 == 0 {
+		if n >= 4 || st.Wave%5 == 0 {
 			wideSlot = n - 1
 		}
 		for i := range actions {
@@ -199,22 +208,22 @@ func (r *recommender) Run(barrier checkpoint.Snapshotter) error {
 				actions[i] = nil // filled below in the full space
 				continue
 			}
-			r.steps++
-			sigma := 0.30*math.Exp(-float64(r.steps)/180) + 0.04
+			st.Steps++
+			sigma := 0.30*math.Exp(-float64(st.Steps)/180) + 0.04
 			switch {
 			case i == 0:
 				// The wave leader follows the policy (with FES early on).
-				actions[i] = r.fes(r.agent.ActNoisy(r.state, sigma))
-			case i%3 == 1 && r.bestAction != nil:
+				actions[i] = r.fes(r.agent.ActNoisy(st.State, sigma))
+			case i%3 == 1 && st.BestAction != nil:
 				// Local refinement around the incumbent at varied radii,
 				// so a wide wave covers several exploration scales.
-				actions[i] = tuner.PerturbPoint(r.bestAction, 0.04+0.05*float64(i%5), r.rng)
+				actions[i] = tuner.PerturbPoint(st.BestAction, 0.04+0.05*float64(i%5), r.rng)
 			case i%7 == 6:
 				// Occasional global restart keeps the wave from
 				// collapsing onto one basin.
 				actions[i] = r.opt.Space().Random(r.rng)
 			default:
-				actions[i] = r.fes(r.agent.ActNoisy(r.state, sigma*(1+0.4*float64(i%4))))
+				actions[i] = r.fes(r.agent.ActNoisy(st.State, sigma*(1+0.4*float64(i%4))))
 			}
 		}
 		configs := make([]knob.Config, len(actions))
@@ -227,7 +236,7 @@ func (r *recommender) Run(barrier checkpoint.Snapshotter) error {
 			configs[i] = space.Decode(a)
 		}
 		samples, err := s.EvaluateConfigs(configs)
-		prev := r.state
+		prev := st.State
 		improved := false
 		for _, smp := range samples {
 			// smp.Index re-associates the sample with the action that
@@ -243,18 +252,18 @@ func (r *recommender) Run(barrier checkpoint.Snapshotter) error {
 				Next:   next,
 				Done:   smp.Perf.Failed,
 			})
-			if fit > r.bestFit {
-				r.bestFit = fit
-				r.bestAction = actions[smp.Index]
+			if fit > st.BestFit {
+				st.BestFit = fit
+				st.BestAction = actions[smp.Index]
 				improved = true
 			}
 			if len(smp.State) == metrics.Count {
-				r.state = next
+				st.State = next
 			}
 		}
 		if improved {
-			r.stagnation = 0
-		} else if r.stagnation++; r.stagnation >= stallLimit {
+			st.Stagnation = 0
+		} else if st.Stagnation++; st.Stagnation >= stallLimit {
 			return errStalled
 		}
 		// Training effort scales with the wave so parallel sessions learn

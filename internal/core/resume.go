@@ -10,7 +10,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/hunter-cdb/hunter/internal/checkpoint"
 	"github.com/hunter-cdb/hunter/internal/knob"
@@ -38,31 +37,14 @@ type optState struct {
 	Ranking  []string
 }
 
-// recState is the Recommender in durable form: the full agent (networks,
-// optimizer moments, replay buffer, internal RNG), the recommender's own
-// forked RNG mid-stream, and the exploration loop counters.
-type recState struct {
-	Agent      []byte
-	RNG        sim.RNGState
-	BestAction []float64
-	BestFit    float64
-	State      []float64
-	Steps      int
-	Stagnation int
-	Wave       int
-	PhaseStart time.Duration
-}
-
 // algoState is the whole phase machine.
 type algoState struct {
-	Phase      int
-	Reused     bool
-	LastPCADim int
-	LastTop    []string
-	FirstPass  bool
-	Factory    *factoryState
-	Opt        *optState
-	Rec        *recState
+	Phase     int
+	FirstPass bool
+	Diag      diagnostics
+	Factory   *factoryState
+	Opt       *optState
+	Rec       *recState
 }
 
 // state exports the optimizer for the algorithm checkpoint section.
@@ -117,23 +99,17 @@ func resumeOptimizer(s *tuner.Session, st *optState) (*spaceOptimizer, error) {
 	return o, nil
 }
 
-// state exports the recommender for the algorithm checkpoint section.
+// exportState copies the recommender's state for the algorithm checkpoint
+// section and adds the agent and RNG snapshots.
 func (r *recommender) exportState() (*recState, error) {
 	var buf bytes.Buffer
 	if err := r.agent.SnapshotTo(&buf); err != nil {
 		return nil, err
 	}
-	return &recState{
-		Agent:      buf.Bytes(),
-		RNG:        r.rng.State(),
-		BestAction: r.bestAction,
-		BestFit:    r.bestFit,
-		State:      r.state,
-		Steps:      r.steps,
-		Stagnation: r.stagnation,
-		Wave:       r.wave,
-		PhaseStart: r.phaseStart,
-	}, nil
+	st := r.st
+	st.Agent = buf.Bytes()
+	st.RNG = r.rng.State()
+	return &st, nil
 }
 
 // resumeRecommender rebuilds a recommender mid-exploration. Unlike
@@ -157,20 +133,15 @@ func resumeRecommender(opts Options, s *tuner.Session, opt *spaceOptimizer, st *
 		return nil, fmt.Errorf("core: checkpoint state dim %d != optimizer %d", len(st.State), opt.StateDim())
 	}
 	r := &recommender{
-		opts:       opts,
-		s:          s,
-		opt:        opt,
-		agent:      agent,
-		rng:        rng,
-		bestAction: st.BestAction,
-		bestFit:    st.BestFit,
-		state:      st.State,
-		steps:      st.Steps,
-		stagnation: st.Stagnation,
-		wave:       st.Wave,
-		phaseStart: st.PhaseStart,
-		resumed:    true,
+		opts:    opts,
+		s:       s,
+		opt:     opt,
+		agent:   agent,
+		rng:     rng,
+		st:      *st,
+		resumed: true,
 	}
+	r.st.Agent, r.st.RNG = nil, sim.RNGState{}
 	return r, nil
 }
 
@@ -188,13 +159,7 @@ type machine struct {
 
 // SnapshotTo implements checkpoint.Snapshotter.
 func (m *machine) SnapshotTo(w io.Writer) error {
-	st := algoState{
-		Phase:      m.phase,
-		Reused:     m.h.reused,
-		LastPCADim: m.h.lastPCADim,
-		LastTop:    m.h.lastTopKnobs,
-		FirstPass:  m.firstPass,
-	}
+	st := algoState{Phase: m.phase, FirstPass: m.firstPass, Diag: m.h.diag}
 	var err error
 	switch m.phase {
 	case phaseFactory:

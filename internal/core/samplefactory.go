@@ -25,15 +25,8 @@ type sampleFactory struct {
 	s    *tuner.Session
 
 	g       *ga.GA // nil when GA is disabled
-	bestFit float64
-	stale   int
-	valid   int
-
-	// phaseStart is the virtual time the phase span opened at; a resumed
-	// factory re-opens the span there so the trace matches an
-	// uninterrupted run.
-	phaseStart time.Duration
-	resumed    bool
+	st      factoryState
+	resumed bool
 
 	// Per-generation Tell buffers, reused across the GA loop.
 	fit []float64
@@ -41,7 +34,7 @@ type sampleFactory struct {
 }
 
 func newSampleFactory(opts Options, s *tuner.Session) *sampleFactory {
-	return &sampleFactory{opts: opts, s: s, bestFit: math.Inf(-1)}
+	return &sampleFactory{opts: opts, s: s, st: factoryState{BestFit: math.Inf(-1)}}
 }
 
 // popSize returns the generation size: independent of the parallelism
@@ -79,24 +72,24 @@ func (f *sampleFactory) ensureGA() error {
 // disabled (ablation or HER warm-up) the pool is filled with random
 // samples instead.
 func (f *sampleFactory) Run(barrier checkpoint.Snapshotter) error {
-	s := f.s
+	s, st := f.s, &f.st
 	if !f.resumed {
-		f.phaseStart = s.Clock.Now()
+		st.PhaseStart = s.Clock.Now()
 	}
 	s.EnterPhase("sample_factory")
 	if s.Trace != nil {
-		sp := s.Trace.StartAt("sample_factory", f.phaseStart)
+		sp := s.Trace.StartAt("sample_factory", st.PhaseStart)
 		defer func() { sp.End(telemetry.A("pool", float64(s.Pool.Len()))) }()
 	}
 	target := f.opts.SampleTarget
 
 	if f.opts.DisableGA {
-		for f.valid < target && !s.Exhausted() {
+		for st.Valid < target && !s.Exhausted() {
 			// Re-read the batch width every generation: under an armed
 			// chaos plan the clone fleet can shrink (quarantine), and the
 			// batch adapts with it.
 			popSize := f.popSize()
-			n := target - f.valid
+			n := target - st.Valid
 			if n > popSize {
 				n = popSize
 			}
@@ -107,7 +100,7 @@ func (f *sampleFactory) Run(barrier checkpoint.Snapshotter) error {
 			samples, err := s.EvaluateBatch(batch)
 			for _, smp := range samples {
 				if !smp.Perf.Failed {
-					f.valid++
+					st.Valid++
 				}
 			}
 			if err != nil {
@@ -123,9 +116,9 @@ func (f *sampleFactory) Run(barrier checkpoint.Snapshotter) error {
 	if err := f.ensureGA(); err != nil {
 		return err
 	}
-	for f.valid < target && !s.Exhausted() {
+	for st.Valid < target && !s.Exhausted() {
 		popSize := f.popSize() // fleet may shrink under chaos
-		n := target - f.valid
+		n := target - st.Valid
 		if n > popSize {
 			n = popSize
 		}
@@ -142,10 +135,10 @@ func (f *sampleFactory) Run(barrier checkpoint.Snapshotter) error {
 			pts[i] = smp.Point
 			fit[i] = s.Fitness(smp.Perf)
 			if !smp.Perf.Failed {
-				f.valid++
+				st.Valid++
 			}
-			if fit[i] > f.bestFit {
-				f.bestFit = fit[i]
+			if fit[i] > st.BestFit {
+				st.BestFit = fit[i]
 				improved = true
 			}
 		}
@@ -162,8 +155,8 @@ func (f *sampleFactory) Run(barrier checkpoint.Snapshotter) error {
 		// period (§2.1) — but only after enough viable samples exist for
 		// the Search Space Optimizer to work with.
 		if improved {
-			f.stale = 0
-		} else if f.stale++; f.stale >= f.opts.Patience && f.valid >= 30 {
+			st.Stale = 0
+		} else if st.Stale++; st.Stale >= f.opts.Patience && st.Valid >= 30 {
 			return nil
 		}
 		if err := s.CheckpointBarrier(barrier); err != nil {
@@ -173,18 +166,23 @@ func (f *sampleFactory) Run(barrier checkpoint.Snapshotter) error {
 	return nil
 }
 
-// factoryState is the phase's durable loop state.
+// factoryState is the phase's durable loop state. The factory keeps it
+// as one value; only the checkpoint copy carries the nested GA snapshot.
 type factoryState struct {
-	GA         []byte // nested ga snapshot; nil when GA is disabled or not yet built
-	BestFit    float64
-	Stale      int
-	Valid      int
+	GA      []byte // nested ga snapshot; nil when GA is disabled or not yet built
+	BestFit float64
+	Stale   int
+	Valid   int
+	// PhaseStart is the virtual time the phase span opened at; a resumed
+	// factory re-opens the span there so the trace matches an
+	// uninterrupted run.
 	PhaseStart time.Duration
 }
 
-// state exports the factory for the algorithm checkpoint section.
+// exportState copies the factory's state for the algorithm checkpoint
+// section and adds the GA snapshot.
 func (f *sampleFactory) exportState() (*factoryState, error) {
-	st := &factoryState{BestFit: f.bestFit, Stale: f.stale, Valid: f.valid, PhaseStart: f.phaseStart}
+	st := f.st
 	if f.g != nil {
 		var buf bytes.Buffer
 		if err := f.g.SnapshotTo(&buf); err != nil {
@@ -192,7 +190,7 @@ func (f *sampleFactory) exportState() (*factoryState, error) {
 		}
 		st.GA = buf.Bytes()
 	}
-	return st, nil
+	return &st, nil
 }
 
 // resumeSampleFactory rebuilds a factory mid-phase. The GA is restored
@@ -202,12 +200,8 @@ func resumeSampleFactory(opts Options, s *tuner.Session, st *factoryState) (*sam
 	if st == nil {
 		return nil, fmt.Errorf("core: checkpoint is missing the sample-factory state")
 	}
-	f := newSampleFactory(opts, s)
-	f.bestFit = st.BestFit
-	f.stale = st.Stale
-	f.valid = st.Valid
-	f.phaseStart = st.PhaseStart
-	f.resumed = true
+	f := &sampleFactory{opts: opts, s: s, st: *st, resumed: true}
+	f.st.GA = nil
 	if st.GA != nil {
 		f.g = &ga.GA{}
 		if err := f.g.RestoreFrom(bytes.NewReader(st.GA)); err != nil {

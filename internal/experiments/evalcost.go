@@ -101,7 +101,7 @@ func RunEvalCost(cfg Config, w io.Writer) error {
 	}
 	t.flush(w)
 	fmt.Fprintf(w, "\nSame virtual budget and step accounting on both rows: the compressed\n")
-	fmt.Fprintf(w, "kernel buys wall-clock per stress test (see BENCH_eval.json). 'deployed'\n")
+	fmt.Fprintf(w, "kernel buys wall-clock per stress test (DESIGN.md §10). 'deployed'\n")
 	fmt.Fprintf(w, "re-measures each recommendation on the full trace — the column fidelity\n")
 	fmt.Fprintf(w, "is judged on, since a kernel-tuned configuration runs the real workload.\n")
 	return nil

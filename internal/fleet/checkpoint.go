@@ -6,10 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
 
 	"github.com/hunter-cdb/hunter/internal/checkpoint"
 	"github.com/hunter-cdb/hunter/internal/core"
@@ -19,67 +15,30 @@ import (
 // directory — one file, atomically replaced, always the latest barrier.
 const CheckpointFileName = "fleet.ckpt"
 
-// Fleet checkpoint section names. Tenant sections are "tenant/%04d".
+// Fleet checkpoint section names. Every barrier writes all three.
 const (
-	sectionMeta  = "fleet-meta"
-	sectionStore = "fleet-store"
+	sectionMeta    = "fleet-meta"
+	sectionStore   = "fleet-store"
+	sectionResults = "fleet-results"
 )
 
-// tenantSection names tenant ID's container section.
-func tenantSection(id int) string { return fmt.Sprintf("tenant/%04d", id) }
+// metaFormat numbers the layout of the meta section. A checkpoint whose
+// meta section carries any other number is refused; one written before the
+// number existed decodes as 0.
+const metaFormat = 1
 
-// ckptWriter is the fleet's incremental snapshot state: a long-lived
-// container writer whose sections are replaced only when their content
-// changed. Unchanged tenants keep their serialized bytes and cached CRCs
-// across barriers, so a 1000-tenant fleet pays per-checkpoint encoding
-// cost proportional to the round's finishers, not the fleet size.
-type ckptWriter struct {
-	dir        string
-	w          *checkpoint.Writer
-	dirty      map[int]bool
-	storeDirty bool
-	primed     bool // writer holds all prior sections (after first write or resume)
-}
-
-func newCkptWriter(dir string) *ckptWriter {
-	return &ckptWriter{dir: dir, w: checkpoint.NewWriter(), dirty: make(map[int]bool), storeDirty: true}
-}
-
-// markDirty queues a tenant result for re-encoding at the next snapshot.
-func (f *Fleet) markDirty(id int) {
-	if f.ckpt != nil {
-		f.ckpt.dirty[id] = true
-	}
-}
-
-// markStoreDirty queues the shared model store for re-encoding.
-func (f *Fleet) markStoreDirty() {
-	if f.ckpt != nil {
-		f.ckpt.storeDirty = true
-	}
-}
-
-// fleetMeta is the checkpoint's bookkeeping section. The leading fields
-// are the config fingerprint: a resume refuses to continue under a config
-// that would produce a different fleet run.
+// fleetMeta is the checkpoint's bookkeeping section: a format number, the
+// config fingerprint, and the run. A resume refuses to continue under a
+// config that would produce a different fleet run.
 type fleetMeta struct {
-	Tenants            int
-	TenantHash         uint64
-	Seed               int64
-	Reuse              bool
-	MaxActive          int
-	QueueDepth         int
-	MaxTenantBudget    time.Duration
-	TotalVirtualBudget time.Duration
+	Format     int
+	Tenants    int
+	TenantHash uint64
+	Seed       int64
+	Reuse      bool
+	Policy     Policy // defaulted
 
-	Rounds      int
-	Next        int
-	Pool        time.Duration
-	ReuseProbes int
-	ReuseHits   int
-	ReuseStores int
-	Done        int
-	Failed      int
+	Run Progress
 }
 
 // tenantHash fingerprints the tenant declaration list: any change to a
@@ -93,27 +52,6 @@ func tenantHash(specs []TenantSpec) uint64 {
 	return h.Sum64()
 }
 
-func (f *Fleet) meta() fleetMeta {
-	return fleetMeta{
-		Tenants:            len(f.cfg.Tenants),
-		TenantHash:         tenantHash(f.cfg.Tenants),
-		Seed:               f.cfg.Seed,
-		Reuse:              f.cfg.Reuse,
-		MaxActive:          f.cfg.Policy.MaxActive,
-		QueueDepth:         f.cfg.Policy.QueueDepth,
-		MaxTenantBudget:    f.cfg.Policy.MaxTenantBudget,
-		TotalVirtualBudget: f.cfg.Policy.TotalVirtualBudget,
-		Rounds:             f.rounds,
-		Next:               f.next,
-		Pool:               f.pool,
-		ReuseProbes:        f.reuseProbes,
-		ReuseHits:          f.reuseHits,
-		ReuseStores:        f.reuseStores,
-		Done:               f.prevDone,
-		Failed:             f.prevFailed,
-	}
-}
-
 // CheckpointPath returns the fleet's snapshot path ("" when checkpointing
 // is disabled).
 func (f *Fleet) CheckpointPath() string {
@@ -123,121 +61,107 @@ func (f *Fleet) CheckpointPath() string {
 	return filepath.Join(f.cfg.CheckpointDir, CheckpointFileName)
 }
 
-// writeCheckpoint atomically writes the fleet snapshot: meta always, the
-// model store when it changed, and only the tenants that finished (or were
-// evicted or rejected) since the last snapshot.
+// writeCheckpoint atomically writes the fleet snapshot: the meta section,
+// the model store, and every recorded tenant result in ID order.
 func (f *Fleet) writeCheckpoint() error {
-	cw := f.ckpt
-	if !cw.primed {
-		// First snapshot: everything already recorded is dirty (includes
-		// tenants rejected at admission).
-		for id := range f.results {
-			cw.dirty[id] = true
-		}
-		cw.storeDirty = true
-		cw.primed = true
+	w := checkpoint.NewWriter()
+	meta := fleetMeta{
+		Format:     metaFormat,
+		Tenants:    len(f.cfg.Tenants),
+		TenantHash: tenantHash(f.cfg.Tenants),
+		Seed:       f.cfg.Seed,
+		Reuse:      f.cfg.Reuse,
+		Policy:     f.cfg.Policy,
+		Run:        f.run,
 	}
-	var mb bytes.Buffer
-	if err := gob.NewEncoder(&mb).Encode(f.meta()); err != nil {
-		return fmt.Errorf("fleet: encoding checkpoint meta: %w", err)
-	}
-	if err := cw.w.AddBytes(sectionMeta, mb.Bytes()); err != nil {
+	if err := addGob(w, sectionMeta, meta); err != nil {
 		return err
 	}
-	if cw.storeDirty {
-		if err := cw.w.Add(sectionStore, f.store); err != nil {
-			return err
-		}
-	}
-	ids := make([]int, 0, len(cw.dirty))
-	for id := range cw.dirty {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		res, ok := f.results[id]
-		if !ok {
-			continue
-		}
-		var tb bytes.Buffer
-		if err := gob.NewEncoder(&tb).Encode(res); err != nil {
-			return fmt.Errorf("fleet: encoding tenant %d: %w", id, err)
-		}
-		if err := cw.w.AddBytes(tenantSection(id), tb.Bytes()); err != nil {
-			return err
-		}
-	}
-	if err := cw.w.WriteFile(f.CheckpointPath()); err != nil {
+	if err := w.Add(sectionStore, f.store); err != nil {
 		return err
 	}
-	cw.dirty = make(map[int]bool)
-	cw.storeDirty = false
+	results := f.recorded()
+	if err := addGob(w, sectionResults, results); err != nil {
+		return err
+	}
+	if err := w.WriteFile(f.CheckpointPath()); err != nil {
+		return err
+	}
 	f.logf("fleet checkpoint written",
-		"path", f.CheckpointPath(), "round", f.rounds, "tenants_written", len(ids))
+		"path", f.CheckpointPath(), "round", f.run.Rounds, "results", len(results))
 	return nil
+}
+
+// addGob gob-encodes v into a named section.
+func addGob(w *checkpoint.Writer, name string, v any) error {
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
+		return fmt.Errorf("fleet: encoding %s: %w", name, err)
+	}
+	return w.AddBytes(name, b.Bytes())
+}
+
+// decodeGob decodes a named section into v.
+func decodeGob(file *checkpoint.File, name string, v any) error {
+	raw, err := file.Bytes(name)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(v); err != nil {
+		return fmt.Errorf("fleet: decoding %s: %w", name, err)
+	}
+	return nil
+}
+
+// readCheckpoint loads and integrity-checks a fleet snapshot and decodes
+// its meta section, refusing any layout but the current one.
+func readCheckpoint(path string) (*checkpoint.File, *fleetMeta, error) {
+	file, err := checkpoint.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	var meta fleetMeta
+	if err := decodeGob(file, sectionMeta, &meta); err != nil {
+		return nil, nil, err
+	}
+	if meta.Format != metaFormat {
+		return nil, nil, fmt.Errorf("fleet: checkpoint meta format %d was written by an incompatible version (this build reads format %d)",
+			meta.Format, metaFormat)
+	}
+	return file, &meta, nil
 }
 
 // CheckpointInfo is the resume bookkeeping a fleet snapshot carries,
 // exposed for offline inspection (hunter-inspect).
 type CheckpointInfo struct {
-	Tenants     int
-	Seed        int64
-	Reuse       bool
-	Rounds      int
-	Next        int
-	Pool        time.Duration
-	Done        int
-	Failed      int
-	ReuseProbes int
-	ReuseHits   int
-	ReuseStores int
-	// TenantSections counts the per-tenant container sections present;
-	// StoreModels counts the models in the snapshotted shared store.
-	TenantSections int
-	StoreModels    int
+	Tenants int
+	Seed    int64
+	Reuse   bool
+	Progress
+	// Results counts the recorded tenant results; StoreModels counts the
+	// models in the snapshotted shared store.
+	Results     int
+	StoreModels int
 }
 
 // PeekCheckpoint reads a fleet snapshot's bookkeeping without building a
 // fleet. Returns an error when the file is not a fleet checkpoint.
 func PeekCheckpoint(path string) (CheckpointInfo, error) {
-	var info CheckpointInfo
-	file, err := checkpoint.ReadFile(path)
+	file, meta, err := readCheckpoint(path)
 	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	info := CheckpointInfo{Tenants: meta.Tenants, Seed: meta.Seed, Reuse: meta.Reuse, Progress: meta.Run}
+	var results []TenantResult
+	if err := decodeGob(file, sectionResults, &results); err != nil {
 		return info, err
 	}
-	raw, err := file.Bytes(sectionMeta)
-	if err != nil {
-		return info, fmt.Errorf("fleet: not a fleet checkpoint: %w", err)
+	info.Results = len(results)
+	s := core.NewReuseRegistry()
+	if err := file.Restore(sectionStore, s); err != nil {
+		return info, err
 	}
-	var meta fleetMeta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&meta); err != nil {
-		return info, fmt.Errorf("fleet: decoding checkpoint meta: %w", err)
-	}
-	info = CheckpointInfo{
-		Tenants:     meta.Tenants,
-		Seed:        meta.Seed,
-		Reuse:       meta.Reuse,
-		Rounds:      meta.Rounds,
-		Next:        meta.Next,
-		Pool:        meta.Pool,
-		Done:        meta.Done,
-		Failed:      meta.Failed,
-		ReuseProbes: meta.ReuseProbes,
-		ReuseHits:   meta.ReuseHits,
-		ReuseStores: meta.ReuseStores,
-	}
-	for _, name := range file.Names() {
-		if strings.HasPrefix(name, "tenant/") {
-			info.TenantSections++
-		}
-	}
-	if file.Has(sectionStore) {
-		s := core.NewReuseRegistry()
-		if err := file.Restore(sectionStore, s); err != nil {
-			return info, err
-		}
-		info.StoreModels = s.Len()
-	}
+	info.StoreModels = s.Len()
 	return info, nil
 }
 
@@ -252,20 +176,12 @@ func Resume(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.ckpt == nil {
+	if cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("fleet: Resume needs Config.CheckpointDir")
 	}
-	file, err := checkpoint.ReadFile(f.CheckpointPath())
+	file, meta, err := readCheckpoint(f.CheckpointPath())
 	if err != nil {
 		return nil, err
-	}
-	raw, err := file.Bytes(sectionMeta)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint has no fleet meta: %w", err)
-	}
-	var meta fleetMeta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&meta); err != nil {
-		return nil, fmt.Errorf("fleet: decoding checkpoint meta: %w", err)
 	}
 	if err := checkMeta(meta, f); err != nil {
 		return nil, err
@@ -273,83 +189,56 @@ func Resume(cfg Config) (*Fleet, error) {
 	if err := checkProgress(meta, f); err != nil {
 		return nil, err
 	}
-	if file.Has(sectionStore) {
-		if err := file.Restore(sectionStore, f.store); err != nil {
-			return nil, err
-		}
+	var results []TenantResult
+	if err := decodeGob(file, sectionResults, &results); err != nil {
+		return nil, err
 	}
-	for _, name := range file.Names() {
-		if !strings.HasPrefix(name, "tenant/") {
-			continue
+	restored := make([]*TenantResult, len(f.cfg.Tenants))
+	for i := range results {
+		res := &results[i]
+		switch {
+		case res.ID < 0 || res.ID >= len(restored):
+			return nil, fmt.Errorf("fleet: checkpoint result ID %d outside [0, %d)", res.ID, len(restored))
+		case restored[res.ID] != nil:
+			return nil, fmt.Errorf("fleet: checkpoint result ID %d is repeated", res.ID)
 		}
-		id, err := strconv.Atoi(strings.TrimPrefix(name, "tenant/"))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: bad tenant section %q", name)
-		}
-		if id < 0 || id >= len(f.cfg.Tenants) {
-			return nil, fmt.Errorf("fleet: checkpoint tenant section %q: ID %d outside [0, %d)", name, id, len(f.cfg.Tenants))
-		}
-		raw, err := file.Bytes(name)
-		if err != nil {
-			return nil, err
-		}
-		var res TenantResult
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&res); err != nil {
-			return nil, fmt.Errorf("fleet: decoding %s: %w", name, err)
-		}
-		if id != res.ID {
-			return nil, fmt.Errorf("fleet: section %q holds tenant %d", name, res.ID)
-		}
-		f.results[id] = &res
+		restored[res.ID] = res
 	}
-	// Seed the incremental writer with every restored section so the next
-	// snapshot re-encodes only what changes from here on.
-	for _, name := range file.Names() {
-		raw, _ := file.Bytes(name)
-		if err := f.ckpt.w.AddBytes(name, raw); err != nil {
-			return nil, err
-		}
+	if err := file.Restore(sectionStore, f.store); err != nil {
+		return nil, err
 	}
-	f.ckpt.dirty = make(map[int]bool)
-	f.ckpt.storeDirty = false
-	f.ckpt.primed = true
-	f.rounds = meta.Rounds
-	f.next = meta.Next
-	f.pool = meta.Pool
-	f.reuseProbes = meta.ReuseProbes
-	f.reuseHits = meta.ReuseHits
-	f.reuseStores = meta.ReuseStores
-	f.prevDone = meta.Done
-	f.prevFailed = meta.Failed
+	f.results = restored
+	f.run = meta.Run
 	f.logf("fleet resumed",
-		"checkpoint", f.CheckpointPath(), "round", f.rounds, "next_tenant", f.next)
+		"checkpoint", f.CheckpointPath(), "round", f.run.Rounds, "next_tenant", f.run.Next)
 	return f, nil
 }
 
 // checkProgress rejects bookkeeping no fleet run writes. A snapshot that
 // passes its CRCs can still carry it, and the resumed Run would index or
 // count with it.
-func checkProgress(meta fleetMeta, f *Fleet) error {
+func checkProgress(meta *fleetMeta, f *Fleet) error {
 	bad := func(field string, v any) error {
 		return fmt.Errorf("fleet: checkpoint %s = %v is out of range", field, v)
 	}
+	r := &meta.Run
 	switch {
-	case meta.Next < 0 || meta.Next > len(f.admitted):
-		return bad("Next", meta.Next)
-	case meta.Rounds < 0:
-		return bad("Rounds", meta.Rounds)
-	case meta.Done < 0:
-		return bad("Done", meta.Done)
-	case meta.Failed < 0:
-		return bad("Failed", meta.Failed)
-	case f.cfg.Policy.TotalVirtualBudget > 0 && meta.Pool > f.cfg.Policy.TotalVirtualBudget:
-		return bad("Pool", meta.Pool)
+	case r.Next < 0 || r.Next > len(f.admitted):
+		return bad("Next", r.Next)
+	case r.Rounds < 0:
+		return bad("Rounds", r.Rounds)
+	case r.Done < 0:
+		return bad("Done", r.Done)
+	case r.Failed < 0:
+		return bad("Failed", r.Failed)
+	case f.cfg.Policy.TotalVirtualBudget > 0 && r.Pool > f.cfg.Policy.TotalVirtualBudget:
+		return bad("Pool", r.Pool)
 	}
 	return nil
 }
 
 // checkMeta verifies the resume config matches the checkpointed fleet.
-func checkMeta(meta fleetMeta, f *Fleet) error {
+func checkMeta(meta *fleetMeta, f *Fleet) error {
 	mismatch := func(field string, got, want any) error {
 		return fmt.Errorf("fleet: checkpoint fingerprint mismatch: config %s = %v, checkpoint has %v",
 			field, got, want)
@@ -366,18 +255,8 @@ func checkMeta(meta fleetMeta, f *Fleet) error {
 	if f.cfg.Reuse != meta.Reuse {
 		return mismatch("reuse", f.cfg.Reuse, meta.Reuse)
 	}
-	p := f.cfg.Policy
-	if p.MaxActive != meta.MaxActive {
-		return mismatch("max active", p.MaxActive, meta.MaxActive)
-	}
-	if p.QueueDepth != meta.QueueDepth {
-		return mismatch("queue depth", p.QueueDepth, meta.QueueDepth)
-	}
-	if p.MaxTenantBudget != meta.MaxTenantBudget {
-		return mismatch("max tenant budget", p.MaxTenantBudget, meta.MaxTenantBudget)
-	}
-	if p.TotalVirtualBudget != meta.TotalVirtualBudget {
-		return mismatch("total virtual budget", p.TotalVirtualBudget, meta.TotalVirtualBudget)
+	if f.cfg.Policy != meta.Policy {
+		return mismatch("policy", f.cfg.Policy, meta.Policy)
 	}
 	return nil
 }

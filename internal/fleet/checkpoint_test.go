@@ -47,9 +47,9 @@ func stoppedSnapshot(tb testing.TB) []byte {
 }
 
 // craftSnapshot writes data into a fresh checkpoint directory with the
-// meta section edited by editMeta and, when moveTenant >= 0, tenant
-// section moveTenant renamed to tenant ID newID. The container is
-// re-encoded, so every CRC is valid.
+// meta section edited by editMeta and, when moveTenant >= 0, the ID of
+// result moveTenant set to newID. The container is re-encoded, so every
+// CRC is valid.
 func craftSnapshot(tb testing.TB, data []byte, editMeta func(*fleetMeta), moveTenant, newID int) string {
 	tb.Helper()
 	file, err := checkpoint.Decode(data)
@@ -74,17 +74,17 @@ func craftSnapshot(tb testing.TB, data []byte, editMeta func(*fleetMeta), moveTe
 				tb.Fatal(err)
 			}
 			raw = b.Bytes()
-		case moveTenant >= 0 && name == tenantSection(moveTenant):
-			var res TenantResult
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&res); err != nil {
+		case moveTenant >= 0 && name == sectionResults:
+			var results []TenantResult
+			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&results); err != nil {
 				tb.Fatal(err)
 			}
-			res.ID = newID
+			results[moveTenant].ID = newID
 			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(res); err != nil {
+			if err := gob.NewEncoder(&b).Encode(results); err != nil {
 				tb.Fatal(err)
 			}
-			name, raw = tenantSection(newID), b.Bytes()
+			raw = b.Bytes()
 		}
 		if err := w.AddBytes(name, raw); err != nil {
 			tb.Fatal(err)
@@ -109,14 +109,15 @@ func TestResumeRejectsBadBookkeeping(t *testing.T) {
 		moveTenant int
 		newID      int
 	}{
-		{"Next", func(m *fleetMeta) { m.Next = -1 }, -1, 0},
-		{"Next", func(m *fleetMeta) { m.Next = 5 }, -1, 0},
-		{"Rounds", func(m *fleetMeta) { m.Rounds = -1 }, -1, 0},
-		{"Done", func(m *fleetMeta) { m.Done = -1 }, -1, 0},
-		{"Failed", func(m *fleetMeta) { m.Failed = -1 }, -1, 0},
-		{"Pool", func(m *fleetMeta) { m.Pool = 101 * time.Hour }, -1, 0},
-		{"tenant/-001", keep, 0, -1},
-		{"tenant/0004", keep, 1, 4},
+		{"Next", func(m *fleetMeta) { m.Run.Next = -1 }, -1, 0},
+		{"Next", func(m *fleetMeta) { m.Run.Next = 5 }, -1, 0},
+		{"Rounds", func(m *fleetMeta) { m.Run.Rounds = -1 }, -1, 0},
+		{"Done", func(m *fleetMeta) { m.Run.Done = -1 }, -1, 0},
+		{"Failed", func(m *fleetMeta) { m.Run.Failed = -1 }, -1, 0},
+		{"Pool", func(m *fleetMeta) { m.Run.Pool = 101 * time.Hour }, -1, 0},
+		{"result ID -1", keep, 0, -1},
+		{"result ID 4", keep, 1, 4},
+		{"result ID 0", keep, 1, 0},
 	}
 	for _, tc := range cases {
 		dir := craftSnapshot(t, data, tc.edit, tc.moveTenant, tc.newID)
@@ -135,6 +136,76 @@ func TestResumeRejectsBadBookkeeping(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsOlderLayout: a meta section in the layout written
+// before the format number existed — policy and progress fields at top
+// level, no Format field — decodes with Format 0 and must be refused with
+// an error that names the format, not resumed from zeroed progress.
+func TestResumeRejectsOlderLayout(t *testing.T) {
+	data := stoppedSnapshot(t)
+	file, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type olderLayout struct {
+		Tenants            int
+		TenantHash         uint64
+		Seed               int64
+		Reuse              bool
+		MaxActive          int
+		QueueDepth         int
+		MaxTenantBudget    time.Duration
+		TotalVirtualBudget time.Duration
+		Rounds             int
+		Next               int
+		Pool               time.Duration
+		ReuseProbes        int
+		ReuseHits          int
+		ReuseStores        int
+		Done               int
+		Failed             int
+	}
+	w := checkpoint.NewWriter()
+	for _, name := range file.Names() {
+		raw, err := file.Bytes(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == sectionMeta {
+			var m fleetMeta
+			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
+				t.Fatal(err)
+			}
+			old := olderLayout{
+				Tenants: m.Tenants, TenantHash: m.TenantHash, Seed: m.Seed, Reuse: m.Reuse,
+				MaxActive: m.Policy.MaxActive, QueueDepth: m.Policy.QueueDepth,
+				MaxTenantBudget: m.Policy.MaxTenantBudget, TotalVirtualBudget: m.Policy.TotalVirtualBudget,
+				Rounds: m.Run.Rounds, Next: m.Run.Next, Pool: m.Run.Pool, ReuseProbes: m.Run.ReuseProbes,
+				ReuseHits: m.Run.ReuseHits, ReuseStores: m.Run.ReuseStores, Done: m.Run.Done, Failed: m.Run.Failed,
+			}
+			var b bytes.Buffer
+			if err := gob.NewEncoder(&b).Encode(old); err != nil {
+				t.Fatal(err)
+			}
+			raw = b.Bytes()
+		}
+		if err := w.AddBytes(name, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, CheckpointFileName)
+	if err := w.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(snapshotConfig(dir)); err == nil || !strings.Contains(err.Error(), "format 0") ||
+		!strings.Contains(err.Error(), "incompatible version") {
+		t.Fatalf("Resume err = %v, want an incompatible-format error", err)
+	}
+	if _, err := PeekCheckpoint(path); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Fatalf("PeekCheckpoint err = %v, want an incompatible-format error", err)
+	}
+}
+
 // FuzzFleetResume overwrites a real snapshot's decoded bookkeeping with
 // fuzz inputs and re-wraps it under valid CRCs (fuzzing raw bytes never
 // gets past the CRC). Resume must return an error, or the resumed fleet
@@ -147,7 +218,7 @@ func FuzzFleetResume(f *testing.F) {
 	f.Add(9, 1, int64(200*time.Hour), 2, 0, -3)
 	f.Fuzz(func(t *testing.T, next, rounds int, pool int64, done, failed, tenantID int) {
 		dir := craftSnapshot(t, data, func(m *fleetMeta) {
-			m.Next, m.Rounds, m.Pool, m.Done, m.Failed = next, rounds, time.Duration(pool), done, failed
+			m.Run.Next, m.Run.Rounds, m.Run.Pool, m.Run.Done, m.Run.Failed = next, rounds, time.Duration(pool), done, failed
 		}, 0, tenantID)
 		fl, err := Resume(snapshotConfig(dir))
 		if err != nil {

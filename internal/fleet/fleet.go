@@ -92,8 +92,8 @@ type Config struct {
 	// Seed is the fleet seed, recorded in the report and the checkpoint
 	// fingerprint (tenant seeds live in the specs).
 	Seed int64
-	// CheckpointDir enables incremental fleet snapshots at round barriers
-	// (empty disables them).
+	// CheckpointDir enables fleet snapshots at round barriers (empty
+	// disables them). Each snapshot is written whole.
 	CheckpointDir string
 	// CheckpointEvery is the number of rounds between snapshots (default 1).
 	CheckpointEvery int
@@ -127,22 +127,26 @@ type Fleet struct {
 	cfg      Config
 	store    *core.ReuseRegistry
 	admitted []TenantSpec
-	results  map[int]*TenantResult
+	// results holds each tenant's terminal record at its ID (nil until
+	// the tenant is rejected, evicted or has run).
+	results []*TenantResult
+	run     Progress
+	trace   *telemetry.SessionTrace
+}
 
-	rounds int
-	next   int // index into admitted of the next tenant to schedule
-	// pool is the remaining fleet virtual-time pool; only meaningful when
+// Progress is the fleet's durable run state, kept in one struct so a
+// checkpoint encodes it whole and a resume assigns it back.
+type Progress struct {
+	Rounds int // completed scheduling rounds
+	Next   int // index into the admitted tenants of the next one to schedule
+	// Pool is the remaining fleet virtual-time pool; only meaningful when
 	// Policy.TotalVirtualBudget > 0.
-	pool time.Duration
-
-	reuseProbes int
-	reuseHits   int
-	reuseStores int
-
-	ckpt       *ckptWriter
-	trace      *telemetry.SessionTrace
-	prevDone   int
-	prevFailed int
+	Pool        time.Duration
+	ReuseProbes int
+	ReuseHits   int
+	ReuseStores int
+	Done        int // tenants that finished so far
+	Failed      int // tenants that failed so far
 }
 
 // New validates the config and performs admission: tenants beyond the
@@ -166,8 +170,8 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:     cfg,
 		store:   core.NewReuseRegistry(),
-		results: make(map[int]*TenantResult, len(cfg.Tenants)),
-		pool:    cfg.Policy.TotalVirtualBudget,
+		results: make([]*TenantResult, len(cfg.Tenants)),
+		run:     Progress{Pool: cfg.Policy.TotalVirtualBudget},
 	}
 	f.admitted = cfg.Tenants
 	if q := cfg.Policy.QueueDepth; q > 0 && len(cfg.Tenants) > q {
@@ -183,9 +187,6 @@ func New(cfg Config) (*Fleet, error) {
 			}
 		}
 	}
-	if cfg.CheckpointDir != "" {
-		f.ckpt = newCkptWriter(cfg.CheckpointDir)
-	}
 	if cfg.Recorder != nil {
 		f.trace = cfg.Recorder.Session("fleet", nil)
 		cfg.Recorder.Counter("fleet.tenants_admitted").Add(int64(len(f.admitted)))
@@ -198,7 +199,7 @@ func New(cfg Config) (*Fleet, error) {
 func (f *Fleet) Store() *core.ReuseRegistry { return f.store }
 
 // Rounds returns the number of completed scheduling rounds.
-func (f *Fleet) Rounds() int { return f.rounds }
+func (f *Fleet) Rounds() int { return f.run.Rounds }
 
 // grant is one scheduled tenant with its admitted budget reservation.
 type grant struct {
@@ -210,7 +211,8 @@ type grant struct {
 // returning ErrStopRequested after writing a checkpoint). Tenant-level
 // failures are recorded on results, not returned.
 func (f *Fleet) Run(ctx context.Context) error {
-	for f.next < len(f.admitted) {
+	r := &f.run
+	for r.Next < len(f.admitted) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -218,33 +220,32 @@ func (f *Fleet) Run(ctx context.Context) error {
 		// declaration order, reserving pool budget for each. Tenants the
 		// pool cannot cover are evicted and do not run.
 		var round []grant
-		for len(round) < f.cfg.Policy.MaxActive && f.next < len(f.admitted) {
-			spec := f.admitted[f.next]
-			f.next++
+		for len(round) < f.cfg.Policy.MaxActive && r.Next < len(f.admitted) {
+			spec := f.admitted[r.Next]
+			r.Next++
 			granted := spec.Budget
 			if m := f.cfg.Policy.MaxTenantBudget; m > 0 && granted > m {
 				granted = m
 			}
-			if f.cfg.Policy.TotalVirtualBudget > 0 && f.pool < granted {
+			if f.cfg.Policy.TotalVirtualBudget > 0 && r.Pool < granted {
 				f.results[spec.ID] = &TenantResult{
 					ID:        spec.ID,
 					Name:      spec.Name,
 					Signature: spec.Signature(),
 					Seed:      spec.Seed,
 					Status:    StatusEvicted,
-					Round:     f.rounds,
+					Round:     r.Rounds,
 					Budget:    granted,
 					Err:       ErrEvicted.Error(),
 				}
-				f.markDirty(spec.ID)
 				if f.cfg.Recorder != nil {
 					f.cfg.Recorder.Counter("fleet.tenants_evicted").Add(1)
 				}
-				f.logf("tenant evicted", "tenant", spec.Name, "granted", granted, "pool", f.pool)
+				f.logf("tenant evicted", "tenant", spec.Name, "granted", granted, "pool", r.Pool)
 				continue
 			}
 			if f.cfg.Policy.TotalVirtualBudget > 0 {
-				f.pool -= granted
+				r.Pool -= granted
 			}
 			round = append(round, grant{spec: spec, granted: granted})
 		}
@@ -262,17 +263,17 @@ func (f *Fleet) Run(ctx context.Context) error {
 		for i := range outcomes {
 			f.fold(&outcomes[i], round[i])
 		}
-		f.rounds++
+		r.Rounds++
 		f.rollup(outcomes)
 
-		stop := f.cfg.StopAfterRounds > 0 && f.rounds >= f.cfg.StopAfterRounds && f.next < len(f.admitted)
-		if f.ckpt != nil && (stop || f.rounds%f.cfg.CheckpointEvery == 0 || f.next >= len(f.admitted)) {
+		stop := f.cfg.StopAfterRounds > 0 && r.Rounds >= f.cfg.StopAfterRounds && r.Next < len(f.admitted)
+		if f.cfg.CheckpointDir != "" && (stop || r.Rounds%f.cfg.CheckpointEvery == 0 || r.Next >= len(f.admitted)) {
 			if err := f.writeCheckpoint(); err != nil {
 				return err
 			}
 		}
 		if stop {
-			f.logf("fleet stopped at requested round", "round", f.rounds)
+			f.logf("fleet stopped at requested round", "round", r.Rounds)
 			return ErrStopRequested
 		}
 	}
@@ -296,7 +297,7 @@ func (f *Fleet) runTenant(ctx context.Context, g grant) tenantOutcome {
 		Name:      spec.Name,
 		Signature: spec.Signature(),
 		Seed:      spec.Seed,
-		Round:     f.rounds,
+		Round:     f.run.Rounds,
 		Budget:    g.granted,
 		Target:    spec.Target,
 	}}
@@ -375,25 +376,24 @@ func (f *Fleet) runTenant(ctx context.Context, g grant) tenantOutcome {
 // declaration order: pool refund, reuse accounting, the model commit,
 // result registration.
 func (f *Fleet) fold(o *tenantOutcome, g grant) {
+	r := &f.run
 	if f.cfg.Policy.TotalVirtualBudget > 0 {
 		// Refund the unused reservation. A session's last wave may carry
 		// the clock slightly past its budget, so the refund can be a small
 		// negative correction; the pool tracks actual consumption exactly.
-		f.pool += g.granted - o.res.Elapsed
+		r.Pool += g.granted - o.res.Elapsed
 	}
 	if o.probed {
-		f.reuseProbes++
+		r.ReuseProbes++
 		if o.hit {
-			f.reuseHits++
+			r.ReuseHits++
 		}
 	}
 	if o.model != nil && f.store.Commit(*o.model) {
-		f.reuseStores++
-		f.markStoreDirty()
+		r.ReuseStores++
 	}
 	res := o.res
 	f.results[res.ID] = &res
-	f.markDirty(res.ID)
 }
 
 // rollup publishes the round's telemetry: admission counters, the tenant
@@ -409,11 +409,12 @@ func (f *Fleet) rollup(outcomes []tenantOutcome) {
 			failed++
 		}
 	}
-	f.prevDone += done
-	f.prevFailed += failed
+	r := &f.run
+	r.Done += done
+	r.Failed += failed
 	f.logf("round complete",
-		"round", f.rounds, "done", f.prevDone, "failed", f.prevFailed,
-		"models", f.store.Len(), "reuse_hits", f.reuseHits)
+		"round", r.Rounds, "done", r.Done, "failed", r.Failed,
+		"models", f.store.Len(), "reuse_hits", r.ReuseHits)
 	if rec == nil {
 		return
 	}
@@ -427,14 +428,14 @@ func (f *Fleet) rollup(outcomes []tenantOutcome) {
 		}
 	}
 	if f.cfg.Reuse {
-		rec.Gauge("fleet.reuse_probes").Set(float64(f.reuseProbes))
-		rec.Gauge("fleet.reuse_hits").Set(float64(f.reuseHits))
-		rec.Gauge("fleet.reuse_stores").Set(float64(f.reuseStores))
+		rec.Gauge("fleet.reuse_probes").Set(float64(r.ReuseProbes))
+		rec.Gauge("fleet.reuse_hits").Set(float64(r.ReuseHits))
+		rec.Gauge("fleet.reuse_stores").Set(float64(r.ReuseStores))
 		rec.Gauge("fleet.store_models").Set(float64(f.store.Len()))
 	}
 	if f.trace != nil {
 		f.trace.Event("round_complete",
-			telemetry.A("round", float64(f.rounds)),
+			telemetry.A("round", float64(r.Rounds)),
 			telemetry.A("done", float64(done)),
 			telemetry.A("models", float64(f.store.Len())))
 	}

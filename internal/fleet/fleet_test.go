@@ -277,7 +277,7 @@ func TestRollups(t *testing.T) {
 }
 
 // BenchmarkFleetSessionsPerSecond measures fleet throughput in tenant
-// sessions per wall second (the BENCH_eval.json fleet entry).
+// sessions per wall second.
 func BenchmarkFleetSessionsPerSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f, err := New(Config{Tenants: SyntheticTenants(32, 1), Reuse: true, Seed: 1})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/hunter-cdb/hunter/internal/knob"
@@ -16,8 +15,8 @@ import (
 const ReportSchema = "hunter-fleet-report/v1"
 
 // TenantResult is one tenant's terminal record: how it was admitted, how
-// it ran, and what it achieved. It is the unit of fleet checkpointing (one
-// container section per tenant) and of report aggregation.
+// it ran, and what it achieved. It is the unit of report aggregation, and
+// a fleet checkpoint carries every recorded result in ID order.
 type TenantResult struct {
 	ID        int    `json:"id"`
 	Name      string `json:"name"`
@@ -85,22 +84,16 @@ func (f *Fleet) Report() *Report {
 		Tenants: len(f.cfg.Tenants),
 		Seed:    f.cfg.Seed,
 		Reuse:   f.cfg.Reuse,
-		Rounds:  f.rounds,
+		Rounds:  f.run.Rounds,
 
 		Admitted:    len(f.admitted),
-		ReuseProbes: f.reuseProbes,
-		ReuseHits:   f.reuseHits,
-		ReuseStores: f.reuseStores,
+		ReuseProbes: f.run.ReuseProbes,
+		ReuseHits:   f.run.ReuseHits,
+		ReuseStores: f.run.ReuseStores,
 	}
-	ids := make([]int, 0, len(f.results))
-	for id := range f.results {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	r.TenantResults = f.recorded()
 	var fitSum float64
-	for _, id := range ids {
-		res := *f.results[id]
-		r.TenantResults = append(r.TenantResults, res)
+	for _, res := range r.TenantResults {
 		switch res.Status {
 		case StatusDone:
 			r.Done++
@@ -125,6 +118,17 @@ func (f *Fleet) Report() *Report {
 		r.ReuseHitRate = float64(r.ReuseHits) / float64(r.ReuseProbes)
 	}
 	return r
+}
+
+// recorded returns every recorded tenant result in ID order.
+func (f *Fleet) recorded() []TenantResult {
+	var out []TenantResult
+	for _, res := range f.results {
+		if res != nil {
+			out = append(out, *res)
+		}
+	}
+	return out
 }
 
 // Render writes the deterministic text form of the report: a fleet summary

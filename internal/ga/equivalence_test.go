@@ -19,7 +19,7 @@ func rastrigin(genes []float64) float64 {
 	return -s
 }
 
-// evolve runs a full ask → EvaluateAll → tell loop and returns every
+// evolve runs a full ask → evaluate → tell loop and returns every
 // generation's genes plus the final best individual.
 func evolve(t *testing.T, workers int) ([][][]float64, Individual) {
 	t.Helper()
@@ -31,7 +31,10 @@ func evolve(t *testing.T, workers int) ([][][]float64, Individual) {
 	var gens [][][]float64
 	for gen := 0; gen < 12; gen++ {
 		genes := g.Ask(16)
-		fit := EvaluateAll(genes, func(i int, gs []float64) float64 { return rastrigin(gs) })
+		fit := make([]float64, len(genes))
+		for i, gs := range genes {
+			fit[i] = rastrigin(gs)
+		}
 		if err := g.Tell(genes, fit); err != nil {
 			t.Fatal(err)
 		}
@@ -44,10 +47,9 @@ func evolve(t *testing.T, workers int) ([][][]float64, Individual) {
 	return gens, best
 }
 
-// TestEvolutionEquivalentAcrossWorkers proves a full GA evolution driven
-// through the parallel fitness fan-out is bit-identical for 1 worker and
-// for many workers: every generation's bred genes and the final best
-// individual match exactly.
+// TestEvolutionEquivalentAcrossWorkers proves a full GA evolution is
+// bit-identical for 1 worker and for many workers: every generation's bred
+// genes and the final best individual match exactly.
 func TestEvolutionEquivalentAcrossWorkers(t *testing.T) {
 	serialGens, serialBest := evolve(t, 1)
 	for _, w := range []int{2, 8} {
@@ -57,21 +59,6 @@ func TestEvolutionEquivalentAcrossWorkers(t *testing.T) {
 		}
 		if !reflect.DeepEqual(parBest, serialBest) {
 			t.Fatalf("workers %d: best individual %+v != %+v", w, parBest, serialBest)
-		}
-	}
-}
-
-// TestEvaluateAllOrder checks results land at their individual's index.
-func TestEvaluateAllOrder(t *testing.T) {
-	defer parallel.SetWorkers(parallel.SetWorkers(8))
-	genes := make([][]float64, 100)
-	for i := range genes {
-		genes[i] = []float64{float64(i)}
-	}
-	fit := EvaluateAll(genes, func(i int, gs []float64) float64 { return gs[0] * 2 })
-	for i, f := range fit {
-		if f != float64(i)*2 {
-			t.Fatalf("fitness %d = %v, want %v", i, f, float64(i)*2)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/hunter-cdb/hunter/internal/parallel"
 	"github.com/hunter-cdb/hunter/internal/sim"
 )
 
@@ -108,24 +107,6 @@ func (g *GA) Ask(n int) [][]float64 {
 		out[i] = child
 	}
 	g.asked += n
-	return out
-}
-
-// EvaluateAll computes fitness for every individual concurrently, one
-// fan-out task per individual, and returns the fitnesses in input order.
-// fn must be a pure function of (i, genes); results are written by index,
-// so the output — and any Tell that consumes it — is bit-identical for
-// any worker count. Sessions that stress-test on cloned instances keep
-// using their own wave scheduling; this helper is for surrogate or
-// simulated fitness functions, where the per-individual evaluation is
-// CPU-bound model work.
-func EvaluateAll(genes [][]float64, fn func(i int, genes []float64) float64) []float64 {
-	out := make([]float64, len(genes))
-	parallel.For(len(genes), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i, genes[i])
-		}
-	})
 	return out
 }
 

@@ -56,17 +56,3 @@ func formatBytes(v float64) string {
 	}
 	return fmt.Sprintf("%g B", v)
 }
-
-// FormatConfig renders the named knobs of a configuration, one per line,
-// in the given order (e.g. RF importance order).
-func FormatConfig(cat *Catalog, cfg Config, names []string) string {
-	out := ""
-	for _, n := range names {
-		spec, ok := cat.Spec(n)
-		if !ok {
-			continue
-		}
-		out += fmt.Sprintf("%-40s = %s\n", n, spec.FormatValue(cfg.Get(n, spec.Default)))
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package knob
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestFormatValue(t *testing.T) {
 	cat := MySQL()
@@ -36,20 +33,5 @@ func TestFormatValueClampsOutOfRange(t *testing.T) {
 	spec, _ := MySQL().Spec("innodb_flush_method")
 	if got := spec.FormatValue(99); got != "O_DIRECT" {
 		t.Fatalf("out-of-range enum should clamp: %q", got)
-	}
-}
-
-func TestFormatConfig(t *testing.T) {
-	cat := MySQL()
-	cfg := cat.Defaults()
-	out := FormatConfig(cat, cfg, []string{"innodb_buffer_pool_size", "no_such_knob", "innodb_doublewrite"})
-	if !strings.Contains(out, "128 MB") || !strings.Contains(out, "ON") {
-		t.Fatalf("format wrong:\n%s", out)
-	}
-	if strings.Contains(out, "no_such_knob") {
-		t.Fatal("unknown knobs must be skipped")
-	}
-	if n := strings.Count(out, "\n"); n != 2 {
-		t.Fatalf("lines = %d", n)
 	}
 }

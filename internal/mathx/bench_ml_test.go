@@ -9,7 +9,7 @@ import (
 
 // benchMul measures the current (blocked, possibly parallel) kernel;
 // benchMulBaseline measures the seed repository's naive serial loop on
-// the same operands. Before/after numbers are recorded in BENCH_ml.json.
+// the same operands, so one run gives the before/after comparison.
 func benchMul(b *testing.B, n, workers int) {
 	defer parallel.SetWorkers(parallel.SetWorkers(workers))
 	rng := sim.NewRNG(1)

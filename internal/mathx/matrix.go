@@ -152,23 +152,10 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
 // Scale multiplies every element of v by s in place.
 func Scale(v []float64, s float64) {
 	for i := range v {
 		v[i] *= s
-	}
-}
-
-// AddInPlace adds b into a element-wise.
-func AddInPlace(a, b []float64) {
-	if len(a) != len(b) {
-		panic("mathx: add length mismatch")
-	}
-	for i := range a {
-		a[i] += b[i]
 	}
 }
 
@@ -240,14 +227,4 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 		x[i] = sum / c.l.At(i, i)
 	}
 	return x, nil
-}
-
-// CholeskySolve solves A·x = b for symmetric positive-definite A. The
-// input matrix is not modified.
-func CholeskySolve(a *Matrix, b []float64) ([]float64, error) {
-	c, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return c.Solve(b)
 }

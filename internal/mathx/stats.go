@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"math"
-	"sort"
 
 	"github.com/hunter-cdb/hunter/internal/parallel"
 )
@@ -35,30 +34,6 @@ func Variance(v []float64) float64 {
 
 // StdDev returns the population standard deviation of v.
 func StdDev(v []float64) float64 { return math.Sqrt(Variance(v)) }
-
-// Percentile returns the p-th percentile (0..100) of v using linear
-// interpolation, the convention OLTP benchmark tools use for tail latency.
-func Percentile(v []float64, p float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
 
 // Standardize centers and scales each column of m to zero mean and unit
 // variance, returning the means and standard deviations used so callers can
@@ -106,15 +81,4 @@ func Standardize(m *Matrix) (means, stds []float64) {
 		}
 	})
 	return means, stds
-}
-
-// ArgMax returns the index of the largest element, or -1 for empty input.
-func ArgMax(v []float64) int {
-	best := -1
-	for i, x := range v {
-		if best == -1 || x > v[best] {
-			best = i
-		}
-	}
-	return best
 }

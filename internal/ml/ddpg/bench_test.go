@@ -39,8 +39,7 @@ func benchAgent(b *testing.B) *Agent {
 
 // benchTrainStep measures one minibatch update — the per-step fixed cost
 // the hybrid session pays ~900 times per 24h budget — at the given worker
-// count. The Serial variant is the before/after baseline recorded in
-// BENCH_ml.json.
+// count. The Serial variant is the single-worker baseline.
 func benchTrainStep(b *testing.B, workers int) {
 	defer parallel.SetWorkers(parallel.SetWorkers(workers))
 	a := benchAgent(b)

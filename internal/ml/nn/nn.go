@@ -430,21 +430,3 @@ func (m *MLP) InputGradBatch(ws *BatchWorkspace, dOut []float64) []float64 {
 	}
 	return grad
 }
-
-// CopyWeightsFrom copies src's weights and biases into m without
-// allocating; architectures must match. It exists so DDPG can refresh its
-// per-chunk scratch networks cheaply on every training step.
-func (m *MLP) CopyWeightsFrom(src *MLP) error {
-	if len(m.layers) != len(src.layers) {
-		return fmt.Errorf("nn: layer count %d != %d", len(m.layers), len(src.layers))
-	}
-	for l, ly := range m.layers {
-		sl := src.layers[l]
-		if ly.in != sl.in || ly.out != sl.out {
-			return fmt.Errorf("nn: layer %d shape %dx%d != %dx%d", l, ly.out, ly.in, sl.out, sl.in)
-		}
-		copy(ly.w, sl.w)
-		copy(ly.b, sl.b)
-	}
-	return nil
-}

@@ -9,7 +9,7 @@ import (
 
 // benchFit compresses the paper-scale metric matrix — 63 metrics × 500
 // observations (§3.2.1) — at the given worker count. The Serial variant
-// is the before/after baseline recorded in BENCH_ml.json.
+// is the single-worker baseline.
 func benchFit(b *testing.B, workers int) {
 	defer parallel.SetWorkers(parallel.SetWorkers(workers))
 	rng := sim.NewRNG(1)

@@ -9,8 +9,7 @@ import (
 
 // benchTrain fits the paper-scale forest — 200 trees over 140 samples ×
 // 70 features (the Search Space Optimizer's workload) — at the given
-// worker count. The Serial variant is the before/after baseline recorded
-// in BENCH_ml.json.
+// worker count. The Serial variant is the single-worker baseline.
 func benchTrain(b *testing.B, workers int) {
 	defer parallel.SetWorkers(parallel.SetWorkers(workers))
 	rng := sim.NewRNG(1)

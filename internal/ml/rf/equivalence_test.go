@@ -45,24 +45,3 @@ func TestTrainEquivalentAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestPredictBatchMatchesPredict checks the batched fan-out path returns
-// exactly the per-row results, in order, for any worker count.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := sim.NewRNG(5)
-	x, y := synthetic(rng, 120, 12)
-	f, err := Train(x, y, Options{Trees: 40}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 8} {
-		prev := parallel.SetWorkers(w)
-		got := f.PredictBatch(x)
-		for i := range x {
-			if got[i] != f.Predict(x[i]) {
-				t.Fatalf("workers %d: batch prediction %d differs", w, i)
-			}
-		}
-		parallel.SetWorkers(prev)
-	}
-}

@@ -441,8 +441,8 @@ func meanVarPos(yboot []float64, idx []int) (mu, va float64) {
 }
 
 // Predict averages the trees' predictions for x, reducing in tree order.
-// A single traversal is a few hundred nanoseconds, so one prediction
-// never fans out; use PredictBatch to parallelize over many inputs.
+// A single traversal is a few hundred nanoseconds, so a prediction never
+// fans out.
 func (f *Forest) Predict(x []float64) float64 {
 	if len(f.trees) == 0 {
 		return 0
@@ -452,23 +452,6 @@ func (f *Forest) Predict(x []float64) float64 {
 		s += t.predict(x)
 	}
 	return s / float64(len(f.trees))
-}
-
-// PredictBatch predicts every row of xs, fanning out over samples (each
-// sample's tree-order reduction is independent, so results are
-// bit-identical to calling Predict per row).
-func (f *Forest) PredictBatch(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	grain := 1
-	if len(f.trees) < 64 {
-		grain = 8 // cheap forests: batch a few samples per chunk
-	}
-	parallel.For(len(xs), grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f.Predict(xs[i])
-		}
-	})
-	return out
 }
 
 func (t *tree) predict(x []float64) float64 {

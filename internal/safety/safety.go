@@ -8,7 +8,7 @@
 // rollback/quarantine state machine from OnlineTune's safety assessment
 // loop. The guard is pure bookkeeping over values its caller measured — it
 // never touches a clock or an RNG — so it is deterministic by construction
-// and its whole state snapshots into a flat gob-friendly struct.
+// and its whole state is one gob-friendly struct.
 package safety
 
 import (
@@ -112,12 +112,12 @@ func (o Options) Validate() error {
 
 // Counts tallies the guard's typed outcomes for reporting and telemetry.
 type Counts struct {
-	Canaries      int
-	Deploys       int
-	Blocks        int
-	Rollbacks     int
-	SLOViolations int
-	Drifts        int
+	Canaries      int `json:"canaries"`
+	Deploys       int `json:"deploys"`
+	Blocks        int `json:"guardrail_blocks"`
+	Rollbacks     int `json:"rollbacks"`
+	SLOViolations int `json:"slo_violations"`
+	Drifts        int `json:"drifts_detected"`
 }
 
 // Region is a quarantined ball in normalized knob space.
@@ -147,14 +147,7 @@ type Verdict struct {
 // use; the session drives it from the single wave-loop goroutine.
 type Guard struct {
 	opts Options
-
-	radius     float64
-	baseline   []float64 // rolling window of monitored deployed-config TPS
-	violations int       // consecutive monitor violations
-	driftHits  int       // consecutive drift-divergence signals
-	quarantine []Region
-	blocked    map[string]bool // candidate keys gated away since last reset
-	counts     Counts
+	st   State
 }
 
 // NewGuard builds a guard from validated options.
@@ -163,25 +156,25 @@ func NewGuard(opts Options) (*Guard, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &Guard{opts: opts, radius: TrustRadius, blocked: map[string]bool{}}, nil
+	return &Guard{opts: opts, st: State{Radius: TrustRadius, Blocked: map[string]bool{}}}, nil
 }
 
 // Options returns the guard's defaulted options.
 func (g *Guard) Options() Options { return g.opts }
 
 // Radius returns the current trust-region radius.
-func (g *Guard) Radius() float64 { return g.radius }
+func (g *Guard) Radius() float64 { return g.st.Radius }
 
 // Counts returns the outcome tallies so far.
-func (g *Guard) Counts() Counts { return g.counts }
+func (g *Guard) Counts() Counts { return g.st.Counts }
 
 // Baseline returns the rolling-median baseline TPS (0 while the window is
 // empty, i.e. just after a reset).
 func (g *Guard) Baseline() float64 {
-	if len(g.baseline) == 0 {
+	if len(g.st.Baseline) == 0 {
 		return 0
 	}
-	w := append([]float64(nil), g.baseline...)
+	w := append([]float64(nil), g.st.Baseline...)
 	sort.Float64s(w)
 	return w[(len(w)-1)/2]
 }
@@ -197,10 +190,10 @@ func (g *Guard) ClampStep(from, to []float64) ([]float64, bool) {
 		d := to[i]
 		if i < len(from) {
 			delta := to[i] - from[i]
-			if delta > g.radius {
-				delta, clamped = g.radius, true
-			} else if delta < -g.radius {
-				delta, clamped = -g.radius, true
+			if delta > g.st.Radius {
+				delta, clamped = g.st.Radius, true
+			} else if delta < -g.st.Radius {
+				delta, clamped = -g.st.Radius, true
 			}
 			d = from[i] + delta
 		}
@@ -267,47 +260,47 @@ func (g *Guard) ObserveMonitor(p simdb.Perf) Verdict {
 	}
 	v.Violation = v.SLOBreach || v.BelowBaseline
 	if v.SLOBreach {
-		g.counts.SLOViolations++
+		g.st.Counts.SLOViolations++
 	}
 	if v.Violation {
-		g.violations++
+		g.st.Violations++
 	} else {
-		g.violations = 0
+		g.st.Violations = 0
 	}
-	if g.opts.Guardrails && g.violations >= ViolationLimit {
+	if g.opts.Guardrails && g.st.Violations >= ViolationLimit {
 		v.RollbackDue = true
 	}
 	if g.opts.DriftThreshold > 0 && v.BaselineTPS > 0 &&
 		math.Abs(p.ThroughputTPS-v.BaselineTPS) > g.opts.DriftThreshold*v.BaselineTPS {
-		g.driftHits++
-		if g.driftHits >= g.opts.DriftWindow {
+		g.st.DriftHits++
+		if g.st.DriftHits >= g.opts.DriftWindow {
 			v.DriftDetected = true
 		}
 	} else {
-		g.driftHits = 0
+		g.st.DriftHits = 0
 	}
 	g.push(p.ThroughputTPS)
 	return v
 }
 
 func (g *Guard) push(tps float64) {
-	g.baseline = append(g.baseline, tps)
-	if n := len(g.baseline) - BaselineWindow; n > 0 {
-		g.baseline = append(g.baseline[:0], g.baseline[n:]...)
+	g.st.Baseline = append(g.st.Baseline, tps)
+	if n := len(g.st.Baseline) - BaselineWindow; n > 0 {
+		g.st.Baseline = append(g.st.Baseline[:0], g.st.Baseline[n:]...)
 	}
 }
 
 // NoteCanary records one replicated canary wave.
-func (g *Guard) NoteCanary() { g.counts.Canaries++ }
+func (g *Guard) NoteCanary() { g.st.Counts.Canaries++ }
 
 // NoteDeploy records a successful guarded deploy: the trust region widens
 // and the rolling baseline resets to the new config's canary median, so
 // future probes are judged against the new normal.
 func (g *Guard) NoteDeploy(seedTPS float64) {
-	g.counts.Deploys++
-	g.radius = math.Min(g.radius*RadiusWiden, RadiusMax)
-	g.violations = 0
-	g.baseline = g.baseline[:0]
+	g.st.Counts.Deploys++
+	g.st.Radius = math.Min(g.st.Radius*RadiusWiden, RadiusMax)
+	g.st.Violations = 0
+	g.st.Baseline = g.st.Baseline[:0]
 	if seedTPS > 0 {
 		g.push(seedTPS)
 	}
@@ -316,9 +309,9 @@ func (g *Guard) NoteDeploy(seedTPS float64) {
 // NoteBlock records a guardrail block of the candidate with the given key:
 // the trust region shrinks and the key is gated until the next reset.
 func (g *Guard) NoteBlock(key string) {
-	g.counts.Blocks++
-	g.radius = math.Max(g.radius*RadiusShrink, RadiusMin)
-	g.blocked[key] = true
+	g.st.Counts.Blocks++
+	g.st.Radius = math.Max(g.st.Radius*RadiusShrink, RadiusMin)
+	g.st.Blocked[key] = true
 }
 
 // NoteRollback records an automatic rollback: the offending point is
@@ -326,18 +319,18 @@ func (g *Guard) NoteBlock(key string) {
 // has changed), and the baseline window reseeds at the restored config's
 // throughput so monitoring re-baselines at the post-rollback normal.
 func (g *Guard) NoteRollback(point []float64, seedTPS float64) {
-	g.counts.Rollbacks++
+	g.st.Counts.Rollbacks++
 	if len(point) > 0 {
-		g.quarantine = append(g.quarantine, Region{
+		g.st.Quarantine = append(g.st.Quarantine, Region{
 			Center: append([]float64(nil), point...),
 			Radius: QuarantineRadius,
 		})
 	}
-	g.blocked = map[string]bool{}
-	g.violations = 0
-	g.driftHits = 0
-	g.radius = math.Max(g.radius*RadiusShrink, RadiusMin)
-	g.baseline = g.baseline[:0]
+	g.st.Blocked = map[string]bool{}
+	g.st.Violations = 0
+	g.st.DriftHits = 0
+	g.st.Radius = math.Max(g.st.Radius*RadiusShrink, RadiusMin)
+	g.st.Baseline = g.st.Baseline[:0]
 	if seedTPS > 0 {
 		g.push(seedTPS)
 	}
@@ -347,25 +340,25 @@ func (g *Guard) NoteRollback(point []float64, seedTPS float64) {
 // rollback. Used when a due rollback resolves to the already-deployed
 // configuration (nothing distinct to restore): the violation run restarts,
 // but the trust radius, blocked set and rollback tally stay untouched.
-func (g *Guard) ResetViolations() { g.violations = 0 }
+func (g *Guard) ResetViolations() { g.st.Violations = 0 }
 
 // NoteDrift records a confirmed workload drift: blocks, violations and the
 // baseline window clear because past judgments no longer apply.
 func (g *Guard) NoteDrift() {
-	g.counts.Drifts++
-	g.blocked = map[string]bool{}
-	g.violations = 0
-	g.driftHits = 0
-	g.baseline = g.baseline[:0]
+	g.st.Counts.Drifts++
+	g.st.Blocked = map[string]bool{}
+	g.st.Violations = 0
+	g.st.DriftHits = 0
+	g.st.Baseline = g.st.Baseline[:0]
 }
 
 // Blocked reports whether a candidate key was gated since the last reset.
-func (g *Guard) Blocked(key string) bool { return g.blocked[key] }
+func (g *Guard) Blocked(key string) bool { return g.st.Blocked[key] }
 
 // InQuarantine reports whether a normalized point falls inside any
 // quarantined region (L∞ distance to the region center).
 func (g *Guard) InQuarantine(point []float64) bool {
-	for _, r := range g.quarantine {
+	for _, r := range g.st.Quarantine {
 		if len(r.Center) != len(point) {
 			continue
 		}
@@ -383,59 +376,43 @@ func (g *Guard) InQuarantine(point []float64) bool {
 	return false
 }
 
-// State is the guard's complete serializable state for the checkpoint
-// container. Blocked keys are stored sorted so encodings are stable.
+// State is the guard's complete durable state. The guard keeps it as one
+// value, so a checkpoint encodes it whole.
 type State struct {
 	Radius     float64
-	Baseline   []float64
-	Violations int
-	DriftHits  int
+	Baseline   []float64 // rolling window of monitored deployed-config TPS
+	Violations int       // consecutive monitor violations
+	DriftHits  int       // consecutive drift-divergence signals
 	Quarantine []Region
-	Blocked    []string
+	Blocked    map[string]bool // candidate keys gated away since last reset
 	Counts     Counts
 }
 
-// Snapshot exports the full guard state.
-func (g *Guard) Snapshot() State {
-	keys := make([]string, 0, len(g.blocked))
-	for k := range g.blocked {
-		keys = append(keys, k)
+// clone returns a deep copy of st.
+func (st State) clone() State {
+	out := st
+	out.Baseline = append([]float64(nil), st.Baseline...)
+	out.Quarantine = make([]Region, len(st.Quarantine))
+	for i, r := range st.Quarantine {
+		out.Quarantine[i] = Region{Center: append([]float64(nil), r.Center...), Radius: r.Radius}
 	}
-	sort.Strings(keys)
-	return State{
-		Radius:     g.radius,
-		Baseline:   append([]float64(nil), g.baseline...),
-		Violations: g.violations,
-		DriftHits:  g.driftHits,
-		Quarantine: append([]Region(nil), g.quarantine...),
-		Blocked:    keys,
-		Counts:     g.counts,
+	out.Blocked = make(map[string]bool, len(st.Blocked))
+	for k, v := range st.Blocked {
+		out.Blocked[k] = v
 	}
+	return out
 }
 
-// Restore reinstates a snapshotted state.
-func (g *Guard) Restore(st State) {
-	g.radius = st.Radius
-	g.baseline = append([]float64(nil), st.Baseline...)
-	g.violations = st.Violations
-	g.driftHits = st.DriftHits
-	g.quarantine = append([]Region(nil), st.Quarantine...)
-	g.blocked = map[string]bool{}
-	for _, k := range st.Blocked {
-		g.blocked[k] = true
-	}
-	g.counts = st.Counts
-}
+// Snapshot exports a deep copy of the guard state.
+func (g *Guard) Snapshot() State { return g.st.clone() }
+
+// Restore reinstates a deep copy of a snapshotted state.
+func (g *Guard) Restore(st State) { g.st = st.clone() }
 
 // Report is the guard's final tally for session reports.
 type Report struct {
-	Guardrails  bool    `json:"guardrails"`
-	Canaries    int     `json:"canaries"`
-	Deploys     int     `json:"deploys"`
-	Blocks      int     `json:"guardrail_blocks"`
-	Rollbacks   int     `json:"rollbacks"`
-	SLOBreaches int     `json:"slo_violations"`
-	Drifts      int     `json:"drifts_detected"`
+	Guardrails bool `json:"guardrails"`
+	Counts
 	Quarantined int     `json:"quarantined_regions"`
 	FinalRadius float64 `json:"final_trust_radius"`
 	BaselineTPS float64 `json:"baseline_tps"`
@@ -445,14 +422,9 @@ type Report struct {
 func (g *Guard) ReportNow() Report {
 	return Report{
 		Guardrails:  g.opts.Guardrails,
-		Canaries:    g.counts.Canaries,
-		Deploys:     g.counts.Deploys,
-		Blocks:      g.counts.Blocks,
-		Rollbacks:   g.counts.Rollbacks,
-		SLOBreaches: g.counts.SLOViolations,
-		Drifts:      g.counts.Drifts,
-		Quarantined: len(g.quarantine),
-		FinalRadius: g.radius,
+		Counts:      g.st.Counts,
+		Quarantined: len(g.st.Quarantine),
+		FinalRadius: g.st.Radius,
 		BaselineTPS: g.Baseline(),
 	}
 }
@@ -470,7 +442,7 @@ func (r Report) Summary() string {
 	fmt.Fprintf(&b, "  online deploys:   %d\n", r.Deploys)
 	fmt.Fprintf(&b, "  guardrail blocks: %d\n", r.Blocks)
 	fmt.Fprintf(&b, "  rollbacks:        %d\n", r.Rollbacks)
-	fmt.Fprintf(&b, "  slo violations:   %d\n", r.SLOBreaches)
+	fmt.Fprintf(&b, "  slo violations:   %d\n", r.SLOViolations)
 	fmt.Fprintf(&b, "  drifts detected:  %d\n", r.Drifts)
 	fmt.Fprintf(&b, "  quarantined:      %d region(s)\n", r.Quarantined)
 	fmt.Fprintf(&b, "  trust radius:     %.3f\n", r.FinalRadius)

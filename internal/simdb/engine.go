@@ -56,11 +56,10 @@ type Engine struct {
 	params Params
 	booted bool
 
-	pool         *bufferPool
-	poolDataKey  poolShapeKey // the (dataset, pool shape) the pool was built for
-	warmupEnable bool
-	warmDeltas   bool
-	lastWarmupS  float64
+	pool        *bufferPool
+	poolDataKey poolShapeKey // the (dataset, pool shape) the pool was built for
+	warmDeltas  bool
+	lastWarmupS float64
 
 	// Reusable measurement state. One engine runs thousands of stress
 	// tests over its lifetime; everything below amortizes per-Run
@@ -247,12 +246,11 @@ func NewEngine(d Dialect, res Resources, seed int64) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		dialect:      d,
-		res:          res,
-		costs:        costsFor(d),
-		rng:          sim.NewRNG(seed),
-		warmupEnable: true,
-		NoiseStdDev:  0.015,
+		dialect:     d,
+		res:         res,
+		costs:       costsFor(d),
+		rng:         sim.NewRNG(seed),
+		NoiseStdDev: 0.015,
 	}
 	if err := e.Configure(e.Catalog().Defaults()); err != nil {
 		return nil, fmt.Errorf("simdb: default configuration does not boot: %w", err)
@@ -276,10 +274,6 @@ func (e *Engine) Resources() Resources { return e.res }
 
 // Config returns the active configuration.
 func (e *Engine) Config() knob.Config { return e.cfg.Clone() }
-
-// SetWarmup toggles the CDB warm-up function (buffer pool saved on
-// shutdown and reloaded on restart, §5).
-func (e *Engine) SetWarmup(on bool) { e.warmupEnable = on }
 
 // SetWarmDeltas toggles warm-state delta evaluation: when a
 // reconfiguration moves only the pool shape or LRU policy for the same
@@ -392,24 +386,18 @@ func (e *Engine) measurePool(p *workload.Profile, sh simShape, pl *accessPlan) m
 			e.pool.reset(sh.simPoolPages, e.params.OldBlocksPct, e.params.PromoteOnSecondHit)
 		}
 		e.poolDataKey = poolKey
-		// Warm-up: the CDB warm-up function reloads the saved buffer pool
-		// on restart, so the pool starts at its steady-state content; with
-		// the function disabled the cold misses below are simply part of
-		// the measurement (and warm-up time is zero but performance drops).
-		if e.warmupEnable {
-			warmOps := 3 * sh.simPoolPages
-			if warmOps > 150000 {
-				warmOps = 150000
-			}
-			z := sim.NewZipf(e.rng, p.Skew, uint64(sh.simDataPages))
-			for i := 0; i < warmOps; i++ {
-				e.pool.Access(uint32(z.Next()), false, false)
-			}
-			// Paper §5: warm-up ≈5 s for an 8 GB dataset, growing with size.
-			e.lastWarmupS = 5 * float64(sh.simPoolPages*int(sh.scale)) / (512 << 20 / PageSize)
-		} else {
-			e.lastWarmupS = 0
+		// Warm-up: the CDB warm-up function (§5) reloads the saved buffer
+		// pool on restart, so the pool starts at its steady-state content.
+		warmOps := 3 * sh.simPoolPages
+		if warmOps > 150000 {
+			warmOps = 150000
 		}
+		z := sim.NewZipf(e.rng, p.Skew, uint64(sh.simDataPages))
+		for i := 0; i < warmOps; i++ {
+			e.pool.Access(uint32(z.Next()), false, false)
+		}
+		// Paper §5: warm-up ≈5 s for an 8 GB dataset, growing with size.
+		e.lastWarmupS = 5 * float64(sh.simPoolPages*int(sh.scale)) / (512 << 20 / PageSize)
 	}
 	e.pool.ResetCounters()
 

@@ -50,28 +50,26 @@ type poolKeyState struct {
 // scratch and latency buffers are deliberately absent: they are rebuilt
 // deterministically without consuming the RNG stream.
 type engineState struct {
-	Cfg          knob.Config
-	Booted       bool
-	RNG          sim.RNGState
-	WarmupEnable bool
-	LastWarmupS  float64
-	NoiseStdDev  float64
-	PoolKey      poolKeyState
-	Pool         *poolState
+	Cfg         knob.Config
+	Booted      bool
+	RNG         sim.RNGState
+	LastWarmupS float64
+	NoiseStdDev float64
+	PoolKey     poolKeyState
+	Pool        *poolState
 }
 
 // SnapshotTo serializes the engine (checkpoint.Snapshotter): active
-// configuration, RNG stream, warm-up flags, and the full buffer pool. A
+// configuration, RNG stream, warm-up state, and the full buffer pool. A
 // restored engine's subsequent Run results are bit-identical to the
 // original's.
 func (e *Engine) SnapshotTo(w io.Writer) error {
 	st := engineState{
-		Cfg:          e.cfg,
-		Booted:       e.booted,
-		RNG:          e.rng.State(),
-		WarmupEnable: e.warmupEnable,
-		LastWarmupS:  e.lastWarmupS,
-		NoiseStdDev:  e.NoiseStdDev,
+		Cfg:         e.cfg,
+		Booted:      e.booted,
+		RNG:         e.rng.State(),
+		LastWarmupS: e.lastWarmupS,
+		NoiseStdDev: e.NoiseStdDev,
 		PoolKey: poolKeyState{
 			Profile:      e.poolDataKey.profile,
 			SimPoolPages: e.poolDataKey.simPoolPages,
@@ -131,7 +129,6 @@ func (e *Engine) RestoreFrom(r io.Reader) error {
 	e.params = params
 	e.booted = st.Booted
 	e.rng = rng
-	e.warmupEnable = st.WarmupEnable
 	e.lastWarmupS = st.LastWarmupS
 	e.NoiseStdDev = st.NoiseStdDev
 	e.pool = pool

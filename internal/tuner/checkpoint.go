@@ -11,8 +11,6 @@ import (
 
 	"github.com/hunter-cdb/hunter/internal/chaos"
 	"github.com/hunter-cdb/hunter/internal/checkpoint"
-	"github.com/hunter-cdb/hunter/internal/cloud"
-	"github.com/hunter-cdb/hunter/internal/knob"
 	"github.com/hunter-cdb/hunter/internal/safety"
 	"github.com/hunter-cdb/hunter/internal/sim"
 	"github.com/hunter-cdb/hunter/internal/simdb"
@@ -44,7 +42,7 @@ var ErrStopRequested = fmt.Errorf("tuner: stopped at requested wave after checkp
 
 // WaveCount returns the number of stress waves run so far (it keeps
 // counting across a resume).
-func (s *Session) WaveCount() int { return s.waveCount }
+func (s *Session) WaveCount() int { return s.run.WaveCount }
 
 // CheckpointPath returns the session's checkpoint file path ("" when
 // checkpointing is disabled).
@@ -67,12 +65,12 @@ func (s *Session) CheckpointBarrier(algo checkpoint.Snapshotter) error {
 	if p == nil {
 		return nil
 	}
-	stop := p.StopAfterWaves > 0 && s.waveCount >= p.StopAfterWaves
+	stop := p.StopAfterWaves > 0 && s.run.WaveCount >= p.StopAfterWaves
 	every := p.Every
 	if every <= 0 {
 		every = 1
 	}
-	due := p.Dir != "" && s.waveCount-s.lastCkptWave >= every
+	due := p.Dir != "" && s.run.WaveCount-s.lastCkptWave >= every
 	if !due && !stop {
 		return nil
 	}
@@ -87,10 +85,18 @@ func (s *Session) CheckpointBarrier(algo checkpoint.Snapshotter) error {
 	return nil
 }
 
-// sessionState is the session's own durable state. The leading fields are
-// the request fingerprint: a resume refuses to continue under a request
-// that would produce a different run.
+// sessionFormat numbers the layout of the session section. A checkpoint
+// whose session section carries any other number is refused; one written
+// before the number existed decodes as 0.
+const sessionFormat = 1
+
+// sessionState is the session section: a format number, the request
+// fingerprint, the run, and handles to the state that lives outside the
+// run. A resume refuses to continue under a request that would produce a
+// different run.
 type sessionState struct {
+	Format int
+
 	Dialect   simdb.Dialect
 	TypeName  string
 	Workload  string // the request's (pre-drift) workload name
@@ -105,73 +111,40 @@ type sessionState struct {
 	ChaosProfile chaos.Profile
 	// Evaluation-optimization fingerprint: wave dedup and warm-state
 	// deltas change which stress tests run, so a resume must keep them.
-	// Gob's zero defaults keep checkpoints from before these flags valid.
 	DedupWaves bool
 	WarmDeltas bool
 	// Personalized-SLO fingerprint: resuming with a different fitness
-	// target would stop the run at a different wave. Zero-default keeps
-	// older checkpoints valid.
+	// target would stop the run at a different wave.
 	StopAtFitness float64
+	// Online-safety fingerprint: the guard's defaulted options, nil when
+	// the loop is off. Different safety settings would run a different
+	// session.
+	Safety *safety.Options
+
+	Run runState
 
 	Clock       time.Duration
-	Steps       int
-	WaveCount   int
-	BestFit     float64
-	TargetHit   bool
-	ModelTime   time.Duration
 	DefaultPerf simdb.Perf
-	Curve       Curve
+	CurWorkload *workload.Profile // active workload (drift may have switched it)
 	Samples     []Sample
 	RNG         sim.RNGState
-
-	CurWorkload *workload.Profile // active workload (drift may have switched it)
-	// Legacy single-drift trio, kept so checkpoints from before the drift
-	// queue still decode (see the resume conversion); new snapshots leave
-	// them zero and write DriftQueue instead.
-	DriftAt time.Duration
-	DriftTo *workload.Profile
-	Drifted bool
-
-	// Ordered drift queue: the full schedule (fired and pending), how many
-	// entries have fired, and the Best() time fence.
-	DriftQueue []scheduledDrift
-	DriftIdx   int
-	BestSince  time.Duration
-
-	// Online-safety fingerprint (the guard's defaulted options; nil when
-	// the loop is off — resuming with different safety settings would run
-	// a different session) and runtime state: the guard snapshot, what is
-	// deployed on the user instance, the last-known-good fallback and the
-	// loop's cadence/monitoring bookkeeping.
-	Safety        *safety.Options
-	SafetyState   *safety.State
-	DefaultCfg    knob.Config
-	DeployedCfg   knob.Config
-	DeployedPoint []float64
-	DeployedFit   float64
-	DeployedPerf  simdb.Perf
-	LastGoodCfg   knob.Config
-	LastGoodPoint []float64
-	LastGoodFit   float64
-	LastGoodPerf  simdb.Perf
-	SinceMonitor  int
-	SinceDeploy   int
-	MonitorLog    []MonitorPoint
-
-	UserID   string
-	CloneIDs []string
-	TraceID  int
-
-	// Chaos runtime state: the derived injector seed, its fault tally, the
-	// per-actor fault keys/strikes (aligned with CloneIDs) and the
-	// supervisor tally — everything a resume needs to replay the exact
-	// same fault plan and keep reporting whole-session numbers.
+	Guard       safety.State
+	UserID      string
+	Actors      []actorState
+	TraceID     int
+	// The chaos injector's derived seed and fault tally: a resume replays
+	// the exact same fault plan and keeps reporting whole-session numbers.
 	ChaosEngineSeed int64
 	ChaosCounts     chaos.Counts
-	ActorIDs        []int
-	ActorSeqs       []int64
-	ActorStrikes    []int
-	Resil           resilienceStats
+}
+
+// actorState is one actor in the session section: its fault key, the
+// clone it drives, its step sequence and its quarantine strikes.
+type actorState struct {
+	ID      int
+	CloneID string
+	Seq     int64
+	Strikes int
 }
 
 // Checkpoint section names.
@@ -193,34 +166,26 @@ func (s *Session) WriteCheckpoint(algo checkpoint.Snapshotter) error {
 		return fmt.Errorf("tuner: checkpointing is not configured")
 	}
 	st := sessionState{
-		Dialect:     s.Req.Dialect,
-		TypeName:    s.Req.Type.Name,
-		Workload:    s.origWorkload,
-		KnobNames:   s.Req.KnobNames,
-		Seed:        s.Req.Seed,
-		Clones:      s.Req.Clones,
-		Budget:      s.Req.Budget,
-		Alpha:       s.Alpha,
-		Clock:       s.Clock.Now(),
-		Steps:       s.steps,
-		WaveCount:   s.waveCount,
-		BestFit:     s.bestFit,
-		ModelTime:   s.modelTime,
-		DefaultPerf: s.DefaultPerf,
-		Curve:       s.curve,
-		Samples:     s.Pool.All(),
-		RNG:         s.RNG.State(),
-		CurWorkload: s.Req.Workload,
-		DriftQueue:  s.drifts,
-		DriftIdx:    s.driftIdx,
-		BestSince:   s.bestSince,
-		UserID:      s.User.ID,
-		Resil:       s.resil,
-		DedupWaves:  s.dedupWaves(),
-		WarmDeltas:  s.warmStateDeltas(),
-
+		Format:        sessionFormat,
+		Dialect:       s.Req.Dialect,
+		TypeName:      s.Req.Type.Name,
+		Workload:      s.origWorkload,
+		KnobNames:     s.Req.KnobNames,
+		Seed:          s.Req.Seed,
+		Clones:        s.Req.Clones,
+		Budget:        s.Req.Budget,
+		Alpha:         s.Alpha,
+		DedupWaves:    s.dedupWaves(),
+		WarmDeltas:    s.warmStateDeltas(),
 		StopAtFitness: s.Req.StopAtFitness,
-		TargetHit:     s.targetHit,
+		Run:           s.run,
+		Clock:         s.Clock.Now(),
+		DefaultPerf:   s.DefaultPerf,
+		CurWorkload:   s.Req.Workload,
+		Samples:       s.Pool.All(),
+		RNG:           s.RNG.State(),
+		UserID:        s.User.ID,
+		TraceID:       s.Trace.ID(),
 	}
 	if plan := s.Req.Chaos; plan.Enabled() {
 		st.ChaosSeed = plan.Seed
@@ -231,31 +196,10 @@ func (s *Session) WriteCheckpoint(algo checkpoint.Snapshotter) error {
 	if s.guard != nil {
 		opts := s.guard.Options()
 		st.Safety = &opts
-		gs := s.guard.Snapshot()
-		st.SafetyState = &gs
-		st.DefaultCfg = s.defaultCfg
-		st.DeployedCfg = s.deployedCfg
-		st.DeployedPoint = s.deployedPoint
-		st.DeployedFit = s.deployedFit
-		st.DeployedPerf = s.deployedPerf
-		st.LastGoodCfg = s.lastGoodCfg
-		st.LastGoodPoint = s.lastGoodPoint
-		st.LastGoodFit = s.lastGoodFit
-		st.LastGoodPerf = s.lastGoodPerf
-		st.SinceMonitor = s.sinceMonitor
-		st.SinceDeploy = s.sinceDeploy
-		st.MonitorLog = s.monitorLog
-	}
-	for _, c := range s.Clones {
-		st.CloneIDs = append(st.CloneIDs, c.ID)
+		st.Guard = s.guard.Snapshot()
 	}
 	for _, a := range s.actors {
-		st.ActorIDs = append(st.ActorIDs, a.ID)
-		st.ActorSeqs = append(st.ActorSeqs, a.seq)
-		st.ActorStrikes = append(st.ActorStrikes, a.strikes)
-	}
-	if s.Trace != nil {
-		st.TraceID = s.Trace.ID()
+		st.Actors = append(st.Actors, actorState{ID: a.ID, CloneID: a.Clone.ID, Seq: a.seq, Strikes: a.strikes})
 	}
 	w := checkpoint.NewWriter()
 	var sb bytes.Buffer
@@ -281,40 +225,14 @@ func (s *Session) WriteCheckpoint(algo checkpoint.Snapshotter) error {
 	if err := w.WriteFile(path); err != nil {
 		return err
 	}
-	s.lastCkptWave = s.waveCount
-	s.logf("checkpoint written", "path", path, "wave", s.waveCount)
+	s.lastCkptWave = s.run.WaveCount
+	s.logf("checkpoint written", "path", path, "wave", s.run.WaveCount)
 	return nil
 }
 
-// PeekCheckpoint reads just the bookkeeping of a checkpoint file: the
-// wave it was taken at and the virtual clock reading. The whole file is
-// still integrity-checked, so a corrupt checkpoint fails here too.
-func PeekCheckpoint(path string) (wave int, clock time.Duration, err error) {
-	f, err := checkpoint.ReadFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	raw, err := f.Bytes(sectionSession)
-	if err != nil {
-		return 0, 0, fmt.Errorf("tuner: checkpoint has no session state: %w", err)
-	}
-	var st sessionState
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
-		return 0, 0, fmt.Errorf("tuner: decoding session state: %w", err)
-	}
-	return st.WaveCount, st.Clock, nil
-}
-
-// ResumeSession rebuilds a Session from a checkpoint written by
-// WriteCheckpoint. The request must describe the same run the checkpoint
-// came from (same dialect, instance type, workload, knobs, seed, clones,
-// budget and α) — logger, recorder and checkpoint policy may differ. The
-// returned File gives the caller access to the checkpoint's algorithm
-// section. On any error nothing observable is mutated.
-func ResumeSession(ctx context.Context, req Request, path string) (*Session, *checkpoint.File, error) {
-	if err := req.withDefaults(); err != nil {
-		return nil, nil, err
-	}
+// readCheckpoint loads and integrity-checks a checkpoint file and decodes
+// its session section, refusing any layout but the current one.
+func readCheckpoint(path string) (*checkpoint.File, *sessionState, error) {
 	f, err := checkpoint.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -327,80 +245,99 @@ func ResumeSession(ctx context.Context, req Request, path string) (*Session, *ch
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
 		return nil, nil, fmt.Errorf("tuner: decoding session state: %w", err)
 	}
-	if err := checkFingerprint(&st, &req); err != nil {
-		return nil, nil, err
+	if st.Format != sessionFormat {
+		return nil, nil, fmt.Errorf("tuner: checkpoint session format %d was written by an incompatible version (this build reads format %d)",
+			st.Format, sessionFormat)
 	}
-	if err := checkBookkeeping(&st); err != nil {
-		return nil, nil, err
-	}
+	return f, &st, nil
+}
 
-	costs := DefaultStepCosts()
-	var cat *knob.Catalog
-	if req.Dialect == simdb.Postgres {
-		cat = knob.Postgres()
-	} else {
-		cat = knob.MySQL()
+// PeekCheckpoint reads just the bookkeeping of a checkpoint file: the
+// wave it was taken at and the virtual clock reading. The whole file is
+// still integrity-checked, so a corrupt checkpoint fails here too.
+func PeekCheckpoint(path string) (wave int, clock time.Duration, err error) {
+	_, st, err := readCheckpoint(path)
+	if err != nil {
+		return 0, 0, err
 	}
-	if err := req.Rules.Validate(cat); err != nil {
-		return nil, nil, err
-	}
-	space, err := knob.NewSpace(cat, req.KnobNames, req.Rules)
+	return st.Run.WaveCount, st.Clock, nil
+}
+
+// ResumeSession rebuilds a Session from a checkpoint written by
+// WriteCheckpoint. The request must describe the same run the checkpoint
+// came from (same dialect, instance type, workload, knobs, seed, clones,
+// budget and α) — logger, recorder and checkpoint policy may differ. The
+// returned File gives the caller access to the checkpoint's algorithm
+// section.
+//
+// On any error nothing observable is mutated, with one exception: the
+// request's recorder is restored from the checkpoint's telemetry section
+// last, so if that section then lacks the checkpoint's trace session, the
+// error returns with the recorder already holding the restored telemetry.
+func ResumeSession(ctx context.Context, req Request, path string) (*Session, *checkpoint.File, error) {
+	s, err := newSession(ctx, req)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	s := &Session{
-		Req:          req,
-		Clock:        sim.NewClock(),
-		Provider:     cloud.NewProvider(req.Clones+4, 0),
-		Space:        space,
-		Pool:         NewSharedPool(),
-		Costs:        costs,
-		Alpha:        st.Alpha,
-		RNG:          sim.NewRNG(0),
-		DefaultPerf:  st.DefaultPerf,
-		steps:        st.Steps,
-		waveCount:    st.WaveCount,
-		lastCkptWave: st.WaveCount,
-		curve:        st.Curve,
-		bestFit:      st.BestFit,
-		targetHit:    st.TargetHit,
-		modelTime:    st.ModelTime,
-		drifts:       st.DriftQueue,
-		driftIdx:     st.DriftIdx,
-		bestSince:    st.BestSince,
-		origWorkload: st.Workload,
-		ctx:          ctx,
+	req = s.Req
+	f, st, err := readCheckpoint(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Checkpoints from before the drift queue carry the single-drift trio;
-	// convert it so older snapshots resume with identical semantics.
-	if len(s.drifts) == 0 && st.DriftTo != nil {
-		s.drifts = []scheduledDrift{{At: st.DriftAt, To: st.DriftTo}}
-		if st.Drifted {
-			s.driftIdx = 1
-			s.bestSince = st.DriftAt
-		}
+	if err := checkFingerprint(st, &req); err != nil {
+		return nil, nil, err
 	}
-	if st.CurWorkload != nil {
-		s.Req.Workload = st.CurWorkload
+	if err := checkBookkeeping(st); err != nil {
+		return nil, nil, err
 	}
 	if err := s.RNG.SetState(st.RNG); err != nil {
 		return nil, nil, err
 	}
+	s.run = st.Run
+	s.lastCkptWave = st.Run.WaveCount
+	s.DefaultPerf = st.DefaultPerf
+	s.Req.Workload = st.CurWorkload
 	s.Clock.AdvanceTo(st.Clock)
 	s.Pool.Add(st.Samples...)
-	s.resil = st.Resil
-	// Re-arm the fault plan before the recorder attaches and the fleet is
-	// restored: the injector seed and tally come from the checkpoint, not
-	// from a fresh RNG fork, so the fault stream continues exactly where
-	// the snapshot left it.
+	// Re-arm the fault plan before the fleet is restored: the injector seed
+	// and tally come from the checkpoint, not from a fresh RNG fork, so the
+	// fault stream continues exactly where the snapshot left it.
 	if req.Chaos.Enabled() {
-		s.chaos = chaos.NewEngine(st.ChaosEngineSeed, req.Chaos.Profile)
-		s.chaos.SetCounts(st.ChaosCounts)
-		s.Provider.SetChaos(s.chaos)
-		s.deadline = time.Duration(s.chaos.DeadlineFactor() * float64(nominalStep(costs)))
+		e := chaos.NewEngine(st.ChaosEngineSeed, req.Chaos.Profile)
+		e.SetCounts(st.ChaosCounts)
+		s.setChaos(e)
 	}
-
+	if err := f.Restore(sectionProvider, s.Provider); err != nil {
+		return nil, nil, fmt.Errorf("tuner: restoring fleet: %w", err)
+	}
+	user, ok := s.Provider.Instance(st.UserID)
+	if !ok {
+		return nil, nil, fmt.Errorf("tuner: user instance %s missing from checkpoint fleet", st.UserID)
+	}
+	s.User = user
+	for _, a := range st.Actors {
+		c, ok := s.Provider.Instance(a.CloneID)
+		if !ok {
+			return nil, nil, fmt.Errorf("tuner: clone %s missing from checkpoint fleet", a.CloneID)
+		}
+		s.Clones = append(s.Clones, c)
+		s.actors = append(s.actors, &Actor{ID: a.ID, Clone: c, seq: a.Seq, strikes: a.Strikes})
+	}
+	// The warm-delta flag is runtime engine configuration, deliberately
+	// excluded from snapshots — re-apply it to the restored fleet.
+	if s.warmStateDeltas() {
+		applyWarmDeltas(s.User)
+		applyWarmDeltas(s.Clones...)
+	}
+	// The guard continues exactly where the snapshot left it; the
+	// deployment records came back with the run.
+	if req.Safety != nil {
+		if s.guard, err = safety.NewGuard(*req.Safety); err != nil {
+			return nil, nil, err
+		}
+		s.guard.Restore(st.Guard)
+	}
+	// Telemetry last, so every failure above leaves the recorder untouched.
 	if req.Recorder != nil {
 		if f.Has(sectionTelemetry) {
 			if err := f.Restore(sectionTelemetry, req.Recorder); err != nil {
@@ -419,77 +356,12 @@ func ResumeSession(ctx context.Context, req Request, path string) (*Session, *ch
 		s.tel = resolveSessionTel(req.Recorder, s.chaos != nil, req.Safety != nil)
 		s.Provider.SetRecorder(req.Recorder)
 	}
-	if err := f.Restore(sectionProvider, s.Provider); err != nil {
-		return nil, nil, fmt.Errorf("tuner: restoring fleet: %w", err)
-	}
-	user, ok := s.Provider.Instance(st.UserID)
-	if !ok {
-		return nil, nil, fmt.Errorf("tuner: user instance %s missing from checkpoint fleet", st.UserID)
-	}
-	s.User = user
-	for i, id := range st.CloneIDs {
-		c, ok := s.Provider.Instance(id)
-		if !ok {
-			return nil, nil, fmt.Errorf("tuner: clone %s missing from checkpoint fleet", id)
-		}
-		a := &Actor{ID: i, Clone: c}
-		// Actor fault keys survive the resume (older checkpoints without
-		// them fall back to positional IDs and zero counters).
-		if i < len(st.ActorIDs) {
-			a.ID = st.ActorIDs[i]
-		}
-		if i < len(st.ActorSeqs) {
-			a.seq = st.ActorSeqs[i]
-		}
-		if i < len(st.ActorStrikes) {
-			a.strikes = st.ActorStrikes[i]
-		}
-		s.Clones = append(s.Clones, c)
-		s.actors = append(s.actors, a)
-	}
-	// The warm-delta flag is runtime engine configuration, deliberately
-	// excluded from snapshots — re-apply it to the restored fleet.
-	if s.warmStateDeltas() {
-		applyWarmDeltas(s.User)
-		applyWarmDeltas(s.Clones...)
-	}
-	// Re-arm the safety loop and lay the checkpointed state over the fresh
-	// guard: trust region, baseline window, violation counters, blocked
-	// keys, quarantine, deployed/last-known-good configs and the monitor
-	// timeline all continue exactly where the snapshot left them.
-	if req.Safety != nil {
-		if err := s.armSafety(req.Safety); err != nil {
-			return nil, nil, err
-		}
-		if st.SafetyState != nil {
-			s.guard.Restore(*st.SafetyState)
-		}
-		if st.DefaultCfg != nil {
-			s.defaultCfg = st.DefaultCfg
-			s.defaultPoint = s.Space.Encode(st.DefaultCfg)
-		}
-		if st.DeployedCfg != nil {
-			s.deployedCfg = st.DeployedCfg
-			s.deployedPoint = st.DeployedPoint
-			s.deployedFit = st.DeployedFit
-			s.deployedPerf = st.DeployedPerf
-		}
-		if st.LastGoodCfg != nil {
-			s.lastGoodCfg = st.LastGoodCfg
-			s.lastGoodPoint = st.LastGoodPoint
-			s.lastGoodFit = st.LastGoodFit
-			s.lastGoodPerf = st.LastGoodPerf
-		}
-		s.sinceMonitor = st.SinceMonitor
-		s.sinceDeploy = st.SinceDeploy
-		s.monitorLog = st.MonitorLog
-	}
 	s.initStatus()
 	s.publishStatus(false)
 	s.logf("session resumed",
 		"checkpoint", path,
-		"wave", s.waveCount,
-		"steps", s.steps,
+		"wave", s.run.WaveCount,
+		"steps", s.run.Steps,
 		"pool", s.Pool.Len())
 	return s, f, nil
 }
@@ -575,14 +447,18 @@ func checkBookkeeping(st *sessionState) error {
 	bad := func(field string, v any) error {
 		return fmt.Errorf("tuner: checkpoint %s = %v is out of range", field, v)
 	}
-	if st.Steps < 0 {
-		return bad("Steps", st.Steps)
+	r := &st.Run
+	if r.Steps < 0 {
+		return bad("Steps", r.Steps)
 	}
-	if st.WaveCount < 0 {
-		return bad("WaveCount", st.WaveCount)
+	if r.WaveCount < 0 {
+		return bad("WaveCount", r.WaveCount)
 	}
-	if st.DriftIdx < 0 || st.DriftIdx > len(st.DriftQueue) {
-		return bad("DriftIdx", st.DriftIdx)
+	if r.DriftIdx < 0 || r.DriftIdx > len(r.Drifts) {
+		return bad("DriftIdx", r.DriftIdx)
+	}
+	if st.CurWorkload == nil {
+		return bad("CurWorkload", nil)
 	}
 	return nil
 }
@@ -594,17 +470,18 @@ func checkBookkeeping(st *sessionState) error {
 func (s *Session) VerifyScheduledDrifts(events []workload.DriftEvent) error {
 	sorted := append([]workload.DriftEvent(nil), events...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	if len(sorted) != len(s.drifts) {
+	drifts := s.run.Drifts
+	if len(sorted) != len(drifts) {
 		return fmt.Errorf("tuner: checkpoint has %d scheduled drift(s), request schedules %d",
-			len(s.drifts), len(sorted))
+			len(drifts), len(sorted))
 	}
 	for i, ev := range sorted {
 		if ev.Profile == nil {
 			return fmt.Errorf("tuner: scheduled drift %d has no profile", i)
 		}
-		if ev.At != s.drifts[i].At || ev.Profile.Name != s.drifts[i].To.Name {
+		if ev.At != drifts[i].At || ev.Profile.Name != drifts[i].To.Name {
 			return fmt.Errorf("tuner: scheduled drift %d mismatch: checkpoint %v→%s, request %v→%s",
-				i, s.drifts[i].At, s.drifts[i].To.Name, ev.At, ev.Profile.Name)
+				i, drifts[i].At, drifts[i].To.Name, ev.At, ev.Profile.Name)
 		}
 	}
 	return nil

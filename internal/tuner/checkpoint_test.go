@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"github.com/hunter-cdb/hunter/internal/checkpoint"
+	"github.com/hunter-cdb/hunter/internal/sim"
+	"github.com/hunter-cdb/hunter/internal/simdb"
 	"github.com/hunter-cdb/hunter/internal/telemetry"
 	"github.com/hunter-cdb/hunter/internal/workload"
 )
@@ -233,6 +235,17 @@ func driftCheckpoint(tb testing.TB) []byte {
 // under valid CRCs, and returns the new file's path.
 func craftCheckpoint(tb testing.TB, data []byte, edit func(*sessionState)) string {
 	tb.Helper()
+	return rewrapSession(tb, data, func(st *sessionState) any {
+		edit(st)
+		return st
+	})
+}
+
+// rewrapSession re-encodes a snapshot with its session section replaced
+// by the gob encoding of layout(decoded state), under valid CRCs, and
+// returns the new file's path.
+func rewrapSession(tb testing.TB, data []byte, layout func(*sessionState) any) string {
+	tb.Helper()
 	file, err := checkpoint.Decode(data)
 	if err != nil {
 		tb.Fatal(err)
@@ -248,9 +261,8 @@ func craftCheckpoint(tb testing.TB, data []byte, edit func(*sessionState)) strin
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
 				tb.Fatal(err)
 			}
-			edit(&st)
 			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(st); err != nil {
+			if err := gob.NewEncoder(&b).Encode(layout(&st)); err != nil {
 				tb.Fatal(err)
 			}
 			raw = b.Bytes()
@@ -264,6 +276,125 @@ func craftCheckpoint(tb testing.TB, data []byte, edit func(*sessionState)) strin
 		tb.Fatal(err)
 	}
 	return path
+}
+
+// TestResumeRejectsOlderLayout: a session section in the layout written
+// before the format number existed — progress counters at top level, no
+// Format field — decodes with Format 0 and must be refused with an error
+// that names the format, not resumed from zeroed progress.
+func TestResumeRejectsOlderLayout(t *testing.T) {
+	data := driftCheckpoint(t)
+	type olderLayout struct {
+		Dialect     simdb.Dialect
+		TypeName    string
+		Workload    string
+		KnobNames   []string
+		Seed        int64
+		Clones      int
+		Budget      time.Duration
+		Alpha       float64
+		Clock       time.Duration
+		Steps       int
+		WaveCount   int
+		BestFit     float64
+		ModelTime   time.Duration
+		DefaultPerf simdb.Perf
+		Curve       Curve
+		Samples     []Sample
+		RNG         sim.RNGState
+		CurWorkload *workload.Profile
+		DriftQueue  []scheduledDrift
+		DriftIdx    int
+		BestSince   time.Duration
+		UserID      string
+		CloneIDs    []string
+		ActorIDs    []int
+		ActorSeqs   []int64
+	}
+	path := rewrapSession(t, data, func(st *sessionState) any {
+		old := olderLayout{
+			Dialect: st.Dialect, TypeName: st.TypeName, Workload: st.Workload, KnobNames: st.KnobNames,
+			Seed: st.Seed, Clones: st.Clones, Budget: st.Budget, Alpha: st.Alpha,
+			Clock: st.Clock, Steps: st.Run.Steps, WaveCount: st.Run.WaveCount, BestFit: st.Run.BestFit,
+			ModelTime: st.Run.ModelTime, DefaultPerf: st.DefaultPerf, Curve: st.Run.Curve,
+			Samples: st.Samples, RNG: st.RNG, CurWorkload: st.CurWorkload,
+			DriftQueue: st.Run.Drifts, DriftIdx: st.Run.DriftIdx, BestSince: st.Run.BestSince,
+			UserID: st.UserID,
+		}
+		for _, a := range st.Actors {
+			old.CloneIDs = append(old.CloneIDs, a.CloneID)
+			old.ActorIDs = append(old.ActorIDs, a.ID)
+			old.ActorSeqs = append(old.ActorSeqs, a.Seq)
+		}
+		return old
+	})
+	s, _, err := ResumeSession(context.Background(), ckptRequest(filepath.Dir(path)), path)
+	if err == nil {
+		s.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "format 0") || !strings.Contains(err.Error(), "incompatible version") {
+		t.Fatalf("ResumeSession err = %v, want an incompatible-format error", err)
+	}
+	if _, _, err := PeekCheckpoint(path); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Fatalf("PeekCheckpoint err = %v, want an incompatible-format error", err)
+	}
+}
+
+// TestFailedResumeLeavesRecorderUntouched: a resume that fails because
+// the checkpoint's fleet lacks the user or a clone must not touch the
+// request's recorder, even though the checkpoint carries telemetry.
+func TestFailedResumeLeavesRecorderUntouched(t *testing.T) {
+	dir := t.TempDir()
+	req := ckptRequest(dir)
+	req.Recorder = telemetry.New()
+	s, err := NewSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.EvaluateBatch([][]float64{s.Space.Random(s.RNG), s.Space.Random(s.RNG)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.CheckpointPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		want string
+		edit func(*sessionState)
+	}{
+		{"user instance no-such-instance", func(st *sessionState) { st.UserID = "no-such-instance" }},
+		{"clone no-such-clone", func(st *sessionState) { st.Actors[1].CloneID = "no-such-clone" }},
+	}
+	for _, tc := range cases {
+		path := craftCheckpoint(t, data, tc.edit)
+		rec := telemetry.New()
+		rec.Counter("caller.counter").Add(1)
+		var before bytes.Buffer
+		if err := rec.WriteText(&before); err != nil {
+			t.Fatal(err)
+		}
+		req := ckptRequest(filepath.Dir(path))
+		req.Recorder = rec
+		r, _, err := ResumeSession(context.Background(), req, path)
+		if err == nil {
+			r.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ResumeSession err = %v, want an error naming %q", err, tc.want)
+		}
+		var after bytes.Buffer
+		if err := rec.WriteText(&after); err != nil {
+			t.Fatal(err)
+		}
+		if after.String() != before.String() || rec.SpanCount() != 0 {
+			t.Fatalf("%s: failed resume changed the recorder (%d spans):\n--- before\n%s--- after\n%s",
+				tc.want, rec.SpanCount(), before.String(), after.String())
+		}
+	}
 }
 
 // runResumed drives a resumed session with random waves until its budget
@@ -290,10 +421,10 @@ func TestResumeRejectsBadBookkeeping(t *testing.T) {
 		field string
 		edit  func(*sessionState)
 	}{
-		{"DriftIdx", func(st *sessionState) { st.DriftIdx = -1 }},
-		{"DriftIdx", func(st *sessionState) { st.DriftIdx = len(st.DriftQueue) + 1 }},
-		{"Steps", func(st *sessionState) { st.Steps = -1 }},
-		{"WaveCount", func(st *sessionState) { st.WaveCount = -1 }},
+		{"DriftIdx", func(st *sessionState) { st.Run.DriftIdx = -1 }},
+		{"DriftIdx", func(st *sessionState) { st.Run.DriftIdx = len(st.Run.Drifts) + 1 }},
+		{"Steps", func(st *sessionState) { st.Run.Steps = -1 }},
+		{"WaveCount", func(st *sessionState) { st.Run.WaveCount = -1 }},
 	}
 	for _, tc := range cases {
 		path := craftCheckpoint(t, data, tc.edit)
@@ -307,7 +438,7 @@ func TestResumeRejectsBadBookkeeping(t *testing.T) {
 	}
 	// Every in-range drift index resumes and runs to the end.
 	for idx := 0; idx <= 2; idx++ {
-		path := craftCheckpoint(t, data, func(st *sessionState) { st.DriftIdx = idx })
+		path := craftCheckpoint(t, data, func(st *sessionState) { st.Run.DriftIdx = idx })
 		s, _, err := ResumeSession(context.Background(), ckptRequest(filepath.Dir(path)), path)
 		if err != nil {
 			t.Fatalf("DriftIdx %d: %v", idx, err)
@@ -329,7 +460,7 @@ func FuzzResumeSession(f *testing.F) {
 	f.Add(2, 1<<40, 1<<40, int64(3*time.Hour))
 	f.Fuzz(func(t *testing.T, driftIdx, steps, waves int, clock int64) {
 		path := craftCheckpoint(t, data, func(st *sessionState) {
-			st.DriftIdx, st.Steps, st.WaveCount, st.Clock = driftIdx, steps, waves, time.Duration(clock)
+			st.Run.DriftIdx, st.Run.Steps, st.Run.WaveCount, st.Clock = driftIdx, steps, waves, time.Duration(clock)
 		})
 		s, _, err := ResumeSession(context.Background(), ckptRequest(filepath.Dir(path)), path)
 		if err != nil {

@@ -64,10 +64,10 @@ func (r SafetyReport) Summary() string {
 	return s
 }
 
-// armSafety builds the guard and seeds the deployed-config bookkeeping
-// from the user instance's default configuration. Called by NewSession
-// after DefaultPerf is measured (the first baseline) and by resume with
-// the restored state re-applied on top.
+// armSafety builds the guard of a new session and seeds its deployment
+// records from the user instance's default configuration. NewSession
+// calls it after DefaultPerf is measured (the first baseline); a resumed
+// session restores the guard and the records from its checkpoint instead.
 func (s *Session) armSafety(opts *safety.Options) error {
 	if opts == nil {
 		return nil
@@ -77,16 +77,11 @@ func (s *Session) armSafety(opts *safety.Options) error {
 		return err
 	}
 	s.guard = g
-	s.defaultCfg = s.User.Config()
-	s.defaultPoint = s.Space.Encode(s.defaultCfg)
-	s.deployedCfg = s.defaultCfg
-	s.deployedPoint = s.defaultPoint
-	s.deployedFit = 0 // Eq. 1 fitness of the default baseline is 0 by definition
-	s.deployedPerf = s.DefaultPerf
-	s.lastGoodCfg = s.defaultCfg
-	s.lastGoodPoint = s.defaultPoint
-	s.lastGoodFit = 0
-	s.lastGoodPerf = s.DefaultPerf
+	cfg := s.User.Config()
+	s.run.Default = deployment{Cfg: cfg, Point: s.Space.Encode(cfg)}
+	// Eq. 1 fitness of the default baseline is 0 by definition.
+	s.run.Deployed = deployment{Cfg: cfg, Point: s.run.Default.Point, Perf: s.DefaultPerf}
+	s.run.LastGood = s.run.Deployed
 	return nil
 }
 
@@ -97,11 +92,11 @@ func (s *Session) Safety() *SafetyReport {
 	}
 	r := &SafetyReport{
 		Report:          s.guard.ReportNow(),
-		DeployedTPS:     s.deployedPerf.ThroughputTPS,
-		DeployedFitness: s.Fitness(s.deployedPerf),
-		MonitorProbes:   len(s.monitorLog),
+		DeployedTPS:     s.run.Deployed.Perf.ThroughputTPS,
+		DeployedFitness: s.Fitness(s.run.Deployed.Perf),
+		MonitorProbes:   len(s.run.MonitorLog),
 	}
-	for _, p := range s.monitorLog {
+	for _, p := range s.run.MonitorLog {
 		if p.Violation {
 			r.MonitorViolation++
 		}
@@ -112,7 +107,7 @@ func (s *Session) Safety() *SafetyReport {
 // DeployedTimeline returns the monitoring probes of the deployed
 // configuration in virtual-time order.
 func (s *Session) DeployedTimeline() []MonitorPoint {
-	return append([]MonitorPoint(nil), s.monitorLog...)
+	return append([]MonitorPoint(nil), s.run.MonitorLog...)
 }
 
 // OnlineDeployed returns what the online loop left deployed on the user
@@ -122,28 +117,30 @@ func (s *Session) OnlineDeployed() (cfg knob.Config, perf simdb.Perf, fitness fl
 	if s.guard == nil {
 		return nil, simdb.Perf{}, 0, false
 	}
-	return s.deployedCfg, s.deployedPerf, s.Fitness(s.deployedPerf), true
+	d := s.run.Deployed
+	return d.Cfg, d.Perf, s.Fitness(d.Perf), true
 }
 
 // safetyStep runs the online loop at one wave boundary: monitor the
 // deployed config on its cadence (possibly rolling back), then try to
 // promote a better candidate on the deploy cadence.
 func (s *Session) safetyStep() {
+	r := &s.run
 	rolledBack := false
-	s.sinceMonitor++
-	if s.sinceMonitor >= safety.MonitorEvery {
-		s.sinceMonitor = 0
+	r.SinceMonitor++
+	if r.SinceMonitor >= safety.MonitorEvery {
+		r.SinceMonitor = 0
 		rolledBack = s.monitorProbe()
 	}
-	s.sinceDeploy++
-	if s.sinceDeploy >= safety.DeployEvery {
+	r.SinceDeploy++
+	if r.SinceDeploy >= safety.DeployEvery {
 		if rolledBack {
 			// Give the restored config a full cadence of probes before
 			// promoting anything new.
-			s.sinceDeploy = 0
+			r.SinceDeploy = 0
 			return
 		}
-		s.sinceDeploy = 0
+		r.SinceDeploy = 0
 		s.tryDeploy()
 	}
 }
@@ -158,7 +155,7 @@ func (s *Session) monitorProbe() bool {
 	}
 	s.charge("slo_probe", took)
 	v := s.guard.ObserveMonitor(perf)
-	s.monitorLog = append(s.monitorLog, MonitorPoint{
+	s.run.MonitorLog = append(s.run.MonitorLog, MonitorPoint{
 		Time: s.Clock.Now(), Perf: perf, BaselineTPS: v.BaselineTPS, Violation: v.Violation,
 	})
 	if v.SLOBreach {
@@ -200,8 +197,8 @@ func (s *Session) onDriftDetected() {
 		s.charge("drift_restress", took)
 		s.DefaultPerf = perf
 	}
-	s.bestFit = math.Inf(-1)
-	s.bestSince = s.Clock.Now()
+	s.run.BestFit = math.Inf(-1)
+	s.run.BestSince = s.Clock.Now()
 	s.publishStatus(false)
 }
 
@@ -210,33 +207,31 @@ func (s *Session) onDriftDetected() {
 // quarantines the region around the offending point. Returns false when
 // there is nothing distinct to restore.
 func (s *Session) rollback() bool {
-	target, targetPoint, targetFit, targetPerf := s.lastGoodCfg, s.lastGoodPoint, s.lastGoodFit, s.lastGoodPerf
-	if target == nil || target.Key() == s.deployedCfg.Key() {
-		target, targetPoint, targetFit, targetPerf = s.defaultCfg, s.defaultPoint, 0, s.DefaultPerf
+	deployed := s.run.Deployed.Cfg.Key()
+	target := s.run.LastGood
+	if target.Cfg == nil || target.Cfg.Key() == deployed {
+		target = s.run.Default
+		target.Perf = s.DefaultPerf
 	}
-	if target.Key() == s.deployedCfg.Key() {
+	if target.Cfg.Key() == deployed {
 		// Already on the safest config we know; quarantining or redeploying
 		// it would loop. Clear the violation run and keep monitoring.
 		s.guard.ResetViolations()
 		return false
 	}
-	badPoint := s.deployedPoint
-	took, err := s.deployToUser(target)
+	took, err := s.deployToUser(target.Cfg)
 	if err != nil {
 		s.logf("rollback deploy failed", "err", err.Error())
 		return false
 	}
 	s.charge("rollback_deploy", took)
-	s.guard.NoteRollback(badPoint, 0)
-	s.deployedCfg = target
-	s.deployedPoint = targetPoint
-	s.deployedFit = targetFit
-	s.deployedPerf = targetPerf
+	s.guard.NoteRollback(s.run.Deployed.Point, 0)
+	s.run.Deployed = target
 	if s.Trace != nil {
-		s.Trace.Event("rollback", telemetry.A("fitness", targetFit))
+		s.Trace.Event("rollback", telemetry.A("fitness", target.Fit))
 		s.tel.rollbacks.Add(1)
 	}
-	s.logf("rolled back deployed config", "to_fitness", targetFit)
+	s.logf("rolled back deployed config", "to_fitness", target.Fit)
 	s.publishStatus(false)
 	return true
 }
@@ -249,13 +244,13 @@ func (s *Session) tryDeploy() {
 	cands := s.rankedCandidates()
 	for _, c := range cands {
 		if !opts.Guardrails {
-			s.deployCandidate(c.Knobs, c.Point, s.Fitness(c.Perf), c.Perf, s.guard.Baseline())
+			s.deployCandidate(deployment{c.Knobs, c.Point, s.Fitness(c.Perf), c.Perf}, s.guard.Baseline())
 			return
 		}
-		point, _ := s.guard.ClampStep(s.deployedPoint, c.Point)
+		point, _ := s.guard.ClampStep(s.run.Deployed.Point, c.Point)
 		cfg := s.Space.Decode(point)
 		key := cfg.Key()
-		if key == s.deployedCfg.Key() || s.guard.Blocked(key) || s.guard.InQuarantine(point) {
+		if key == s.run.Deployed.Cfg.Key() || s.guard.Blocked(key) || s.guard.InQuarantine(point) {
 			continue
 		}
 		if v := s.Req.Rules.Violations(s.Space.Catalog(), cfg); len(v) > 0 {
@@ -269,11 +264,11 @@ func (s *Session) tryDeploy() {
 			var pass bool
 			baseline := s.guard.Baseline()
 			pass, reason = s.guard.GateDeploy(med, baseline)
-			if pass && s.Fitness(med) <= s.deployedFit {
+			if pass && s.Fitness(med) <= s.run.Deployed.Fit {
 				pass, reason = false, "no_improvement"
 			}
 			if pass {
-				s.deployCandidate(cfg, point, s.Fitness(med), med, baseline)
+				s.deployCandidate(deployment{cfg, point, s.Fitness(med), med}, baseline)
 				return
 			}
 		}
@@ -294,10 +289,10 @@ func (s *Session) tryDeploy() {
 func (s *Session) rankedCandidates() []Sample {
 	var cands []Sample
 	for _, smp := range s.Pool.All() {
-		if smp.Perf.Failed || smp.Time < s.bestSince {
+		if smp.Perf.Failed || smp.Time < s.run.BestSince {
 			continue
 		}
-		if s.Fitness(smp.Perf) <= s.deployedFit {
+		if s.Fitness(smp.Perf) <= s.run.Deployed.Fit {
 			continue
 		}
 		cands = append(cands, smp)
@@ -338,10 +333,10 @@ func (s *Session) canary(cfg knob.Config) (simdb.Perf, bool) {
 		if res.took > waveMax {
 			waveMax = res.took
 		}
-		s.resil.Retries += int64(res.retries)
-		s.resil.BackoffTime += res.backoff
+		s.run.Resil.Retries += int64(res.retries)
+		s.run.Resil.BackoffTime += res.backoff
 		if res.timedOut {
-			s.resil.Timeouts++
+			s.run.Resil.Timeouts++
 		}
 		if res.timedOut || res.crashed || res.infra || res.execErr != nil {
 			perfs = append(perfs, simdb.FailedPerf())
@@ -363,42 +358,35 @@ func (s *Session) canary(cfg knob.Config) (simdb.Perf, bool) {
 
 // deployCandidate pushes a candidate onto the user instance and promotes
 // the bookkeeping: the previous deployed config becomes last-known-good.
-// perf and baselineTPS are the evidence the deploy was decided on (the
+// d.Perf and baselineTPS are the evidence the deploy was decided on (the
 // canary median and the rolling baseline the gate compared it against);
 // the online_deploy event carries both.
-func (s *Session) deployCandidate(cfg knob.Config, point []float64, fit float64, perf simdb.Perf, baselineTPS float64) {
-	took, err := s.deployToUser(cfg)
+func (s *Session) deployCandidate(d deployment, baselineTPS float64) {
+	took, err := s.deployToUser(d.Cfg)
 	if err != nil {
 		s.logf("online deploy failed", "err", err.Error())
 		return
 	}
 	s.charge("online_deploy", took)
-	s.lastGoodCfg = s.deployedCfg
-	s.lastGoodPoint = s.deployedPoint
-	s.lastGoodFit = s.deployedFit
-	s.lastGoodPerf = s.deployedPerf
-	s.deployedCfg = cfg
-	s.deployedPoint = point
-	s.deployedFit = fit
-	s.deployedPerf = perf
+	s.run.LastGood, s.run.Deployed = s.run.Deployed, d
 	// Guarded deploys seed the fresh baseline window with the canary
 	// median — a live measurement on the current workload. Naive deploys
 	// only have the candidate's stale pool measurement, which may predate
 	// a silent drift; seeding with it would fake a baseline, so the window
 	// rebuilds from monitor probes instead.
-	seedTPS := perf.ThroughputTPS
+	seedTPS := d.Perf.ThroughputTPS
 	if !s.guard.Options().Guardrails {
 		seedTPS = 0
 	}
 	s.guard.NoteDeploy(seedTPS)
 	if s.Trace != nil {
 		s.Trace.Event("online_deploy",
-			telemetry.A("fitness", fit),
-			telemetry.A("tps", perf.ThroughputTPS),
-			telemetry.A("p99_ms", perf.P99LatencyMs),
+			telemetry.A("fitness", d.Fit),
+			telemetry.A("tps", d.Perf.ThroughputTPS),
+			telemetry.A("p99_ms", d.Perf.P99LatencyMs),
 			telemetry.A("baseline_tps", baselineTPS))
 		s.tel.deploys.Add(1)
 	}
-	s.logf("deployed candidate online", "fitness", fit, "tps", perf.ThroughputTPS)
+	s.logf("deployed candidate online", "fitness", d.Fit, "tps", d.Perf.ThroughputTPS)
 	s.publishStatus(false)
 }

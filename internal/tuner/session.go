@@ -147,58 +147,74 @@ type Session struct {
 	tel   *sessionTel
 
 	actors []*Actor
+	ctx    context.Context
 
-	steps     int
-	curve     Curve
-	bestFit   float64
-	targetHit bool
-	ctx       context.Context
-	modelTime time.Duration // accumulated ModelUpdate charges (Table 1)
+	// run is the session's durable progress; a checkpoint encodes it whole.
+	run runState
 
-	// Scheduled drifts, ordered by firing time. driftIdx is the count
-	// already fired; bestSince fences Best() to samples measured on the
-	// current workload (it moves on every oracle drift or detection).
-	drifts    []scheduledDrift
-	driftIdx  int
-	bestSince time.Duration
+	// guard is the online safety state machine (nil without Req.Safety).
+	guard *safety.Guard
 
-	// Online safety runtime (all nil/zero without Req.Safety): the guard
-	// state machine, the user's default config, what is currently deployed
-	// on the user instance, the last-known-good fallback, the loop's wave
-	// cadence counters and the deployed-config monitoring timeline.
-	guard         *safety.Guard
-	defaultCfg    knob.Config
-	defaultPoint  []float64
-	deployedCfg   knob.Config
-	deployedPoint []float64
-	deployedFit   float64
-	deployedPerf  simdb.Perf
-	lastGoodCfg   knob.Config
-	lastGoodPoint []float64
-	lastGoodFit   float64
-	lastGoodPerf  simdb.Perf
-	sinceMonitor  int
-	sinceDeploy   int
-	monitorLog    []MonitorPoint
-
-	// Checkpoint bookkeeping: total stress waves, the wave the last
-	// snapshot covered, and the request's pre-drift workload name (part of
-	// the resume fingerprint — Req.Workload is replaced when drift fires).
-	waveCount    int
+	// Checkpoint bookkeeping: the wave the last snapshot covered, and the
+	// request's pre-drift workload name (part of the resume fingerprint —
+	// Req.Workload is replaced when drift fires).
 	lastCkptWave int
 	origWorkload string
 
-	// Chaos runtime (all zero when no plan is armed): the fault injector,
-	// the per-actor wave deadline, and the supervisor's resilience tally.
+	// Chaos runtime (all zero when no plan is armed): the fault injector
+	// and the per-actor wave deadline.
 	chaos    *chaos.Engine
 	deadline time.Duration
-	resil    resilienceStats
 
 	// Status plane (all zero when no sink is attached): the registry key,
 	// the display name and the current algorithm phase.
 	statusKey  string
 	statusName string
 	phase      string
+}
+
+// runState is the session's durable progress, kept in one struct so a
+// checkpoint encodes it whole and a resume assigns it back.
+type runState struct {
+	Steps     int
+	WaveCount int
+	Curve     Curve
+	BestFit   float64
+	TargetHit bool
+	ModelTime time.Duration // accumulated ModelUpdate charges (Table 1)
+
+	// Scheduled drifts, ordered by firing time. DriftIdx is the count
+	// already fired; BestSince fences Best() to samples measured on the
+	// current workload (it moves on every oracle drift or detection).
+	Drifts    []scheduledDrift
+	DriftIdx  int
+	BestSince time.Duration
+
+	// Resil is the supervisor's fault tally. SinceMonitor and SinceDeploy
+	// pace the online safety loop in waves, and MonitorLog is its
+	// deployed-config timeline.
+	Resil        ResilienceStats
+	SinceMonitor int
+	SinceDeploy  int
+	MonitorLog   []MonitorPoint
+
+	// The online safety loop's configurations (zero without Req.Safety):
+	// the user's default, what is deployed on the user instance, and the
+	// last-known-good fallback. Default.Perf stays zero: the default's
+	// performance is DefaultPerf, which drift handling re-measures.
+	Default  deployment
+	Deployed deployment
+	LastGood deployment
+}
+
+// deployment is a configuration the online safety loop can put on the
+// user instance: its knobs, normalized point, and the fitness and
+// performance it was deployed on.
+type deployment struct {
+	Cfg   knob.Config
+	Point []float64
+	Fit   float64
+	Perf  simdb.Perf
 }
 
 // scheduledDrift is one pending workload switch in the session's ordered
@@ -265,22 +281,11 @@ func NewSession(req Request) (*Session, error) {
 
 // NewSessionContext is NewSession with cancellation support.
 func NewSessionContext(ctx context.Context, req Request) (*Session, error) {
-	if err := req.withDefaults(); err != nil {
+	s, err := newSession(ctx, req)
+	if err != nil {
 		return nil, err
 	}
-	costs := DefaultStepCosts()
-	s := &Session{
-		Req:      req,
-		Clock:    sim.NewClock(),
-		Provider: cloud.NewProvider(req.Clones+4, req.Seed^0x5eed),
-		Pool:     NewSharedPool(),
-		Costs:    costs,
-		Alpha:    req.Rules.EffectiveAlpha(),
-		RNG:      sim.NewRNG(req.Seed),
-		bestFit:  math.Inf(-1),
-		ctx:      ctx,
-	}
-	s.origWorkload = req.Workload.Name
+	req = s.Req
 	// Arm fault injection before the recorder and the fleet: provisioning
 	// below must already see the fault plan. With no plan this is a no-op
 	// and consumes nothing from the session RNG.
@@ -293,20 +298,6 @@ func NewSessionContext(ctx context.Context, req Request) (*Session, error) {
 		// instance, its clones and their engines all report.
 		s.Provider.SetRecorder(req.Recorder)
 	}
-	var cat *knob.Catalog
-	if req.Dialect == simdb.Postgres {
-		cat = knob.Postgres()
-	} else {
-		cat = knob.MySQL()
-	}
-	if err := req.Rules.Validate(cat); err != nil {
-		return nil, err
-	}
-	space, err := knob.NewSpace(cat, req.KnobNames, req.Rules)
-	if err != nil {
-		return nil, err
-	}
-	s.Space = space
 
 	user, err := s.createWithRetry(req.Type, req.Dialect)
 	if err != nil {
@@ -333,7 +324,7 @@ func NewSessionContext(ctx context.Context, req Request) (*Session, error) {
 
 	// Measure the default configuration once on a clone; this also warms
 	// the clone's buffer pool.
-	perf, _, took, err := s.Clones[0].StressTest(req.Workload, costs.WorkloadExecution)
+	perf, _, took, err := s.Clones[0].StressTest(req.Workload, s.Costs.WorkloadExecution)
 	if err != nil {
 		s.releaseFleet()
 		return nil, fmt.Errorf("tuner: default stress test: %w", err)
@@ -355,6 +346,42 @@ func NewSessionContext(ctx context.Context, req Request) (*Session, error) {
 		"knobs", s.Space.Dim(),
 		"default_tps", perf.ThroughputTPS)
 	return s, nil
+}
+
+// newSession builds what follows from the request alone: the defaulted
+// request, the rule-constrained search space, the control plane, the RNG
+// and an empty run. It touches nothing outside the returned session, so
+// NewSessionContext and ResumeSession fail after it without side effects.
+func newSession(ctx context.Context, req Request) (*Session, error) {
+	if err := req.withDefaults(); err != nil {
+		return nil, err
+	}
+	var cat *knob.Catalog
+	if req.Dialect == simdb.Postgres {
+		cat = knob.Postgres()
+	} else {
+		cat = knob.MySQL()
+	}
+	if err := req.Rules.Validate(cat); err != nil {
+		return nil, err
+	}
+	space, err := knob.NewSpace(cat, req.KnobNames, req.Rules)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{
+		Req:          req,
+		Clock:        sim.NewClock(),
+		Provider:     cloud.NewProvider(req.Clones+4, req.Seed^0x5eed),
+		Space:        space,
+		Pool:         NewSharedPool(),
+		Costs:        DefaultStepCosts(),
+		Alpha:        req.Rules.EffectiveAlpha(),
+		RNG:          sim.NewRNG(req.Seed),
+		ctx:          ctx,
+		run:          runState{BestFit: math.Inf(-1)},
+		origWorkload: req.Workload.Name,
+	}, nil
 }
 
 // charge advances the virtual clock and mirrors the advance into the
@@ -379,12 +406,12 @@ func (s *Session) Close() {
 	hours := s.InstanceHours() // before the fleet is released
 	s.releaseFleet()
 	if s.Trace != nil {
-		best := s.bestFit
+		best := s.run.BestFit
 		if math.IsInf(best, 0) || math.IsNaN(best) {
 			best = 0
 		}
 		s.Trace.Finish(
-			telemetry.A("steps", float64(s.steps)),
+			telemetry.A("steps", float64(s.run.Steps)),
 			telemetry.A("samples", float64(s.Pool.Len())),
 			telemetry.A("best_fitness", best),
 			telemetry.A("instance_hours", hours),
@@ -397,7 +424,7 @@ func (s *Session) Elapsed() time.Duration { return s.Clock.Now() }
 
 // TargetReached reports whether the session stopped because the
 // StopAtFitness target was met (as opposed to spending its whole budget).
-func (s *Session) TargetReached() bool { return s.targetHit }
+func (s *Session) TargetReached() bool { return s.run.TargetHit }
 
 // Exhausted reports whether the time budget is spent, the personalized
 // fitness target has been reached, or the context is cancelled.
@@ -407,7 +434,7 @@ func (s *Session) Exhausted() bool {
 		return true
 	default:
 	}
-	return s.targetHit || s.Clock.Now() >= s.Req.Budget
+	return s.run.TargetHit || s.Clock.Now() >= s.Req.Budget
 }
 
 // Remaining returns the unused budget.
@@ -420,7 +447,7 @@ func (s *Session) Remaining() time.Duration {
 }
 
 // Steps returns the number of stress-tested configurations.
-func (s *Session) Steps() int { return s.steps }
+func (s *Session) Steps() int { return s.run.Steps }
 
 // InstanceHours returns the cost of the session so far in instance-hours:
 // every cloned CDB plus the user's instance, for the elapsed virtual time
@@ -430,7 +457,7 @@ func (s *Session) InstanceHours() float64 {
 }
 
 // Curve returns the recorded best-so-far trajectory.
-func (s *Session) Curve() Curve { return append(Curve(nil), s.curve...) }
+func (s *Session) Curve() Curve { return append(Curve(nil), s.run.Curve...) }
 
 // Fitness evaluates Eq. 1 for a performance against this session's
 // default baseline, α, and latency-percentile objective.
@@ -442,11 +469,11 @@ func (s *Session) Fitness(p simdb.Perf) float64 {
 // tuners call it after each learning step.
 func (s *Session) ChargeModelUpdate() {
 	s.charge("model_update", s.Costs.ModelUpdate)
-	s.modelTime += s.Costs.ModelUpdate
+	s.run.ModelTime += s.Costs.ModelUpdate
 }
 
 // ModelUpdateTime returns the cumulative model-update charge.
-func (s *Session) ModelUpdateTime() time.Duration { return s.modelTime }
+func (s *Session) ModelUpdateTime() time.Duration { return s.run.ModelTime }
 
 // Evaluate stress-tests a single normalized point (on clone 0). If an
 // injected fault swallows the sample (degraded wave with no survivors) it
@@ -600,11 +627,11 @@ func (s *Session) evaluateConfigs(cfgs []knob.Config) ([]Sample, error) {
 			if res.took > waveMax {
 				waveMax = res.took
 			}
-			s.resil.Retries += int64(res.retries)
-			s.resil.BackoffTime += res.backoff
+			s.run.Resil.Retries += int64(res.retries)
+			s.run.Resil.BackoffTime += res.backoff
 			switch {
 			case res.timedOut:
-				s.resil.Timeouts++
+				s.run.Resil.Timeouts++
 				lost++
 			case res.crashed || res.infra:
 				lost++
@@ -612,7 +639,7 @@ func (s *Session) evaluateConfigs(cfgs []knob.Config) ([]Sample, error) {
 				errs = append(errs, fmt.Errorf("tuner: actor %d (config %d): %w",
 					s.actors[k].ID, start+k, res.execErr))
 			default:
-				s.steps++
+				s.run.Steps++
 				state := metrics.Vector{}
 				if res.state != nil {
 					state = res.state
@@ -622,15 +649,15 @@ func (s *Session) evaluateConfigs(cfgs []knob.Config) ([]Sample, error) {
 					Knobs: wave[k],
 					Point: s.Space.Encode(wave[k]),
 					Perf:  res.perf,
-					Step:  s.steps,
+					Step:  s.run.Steps,
 					Index: start + k,
 				})
 				recorded++
 			}
 		}
-		s.resil.SamplesLost += int64(lost)
+		s.run.Resil.SamplesLost += int64(lost)
 		s.Clock.Advance(waveMax)
-		s.waveCount++
+		s.run.WaveCount++
 		if s.Trace != nil { // guard keeps the attr slice off the disabled path
 			s.Trace.Charge("stress_wave", waveMax,
 				telemetry.A("configs", float64(len(wave))),
@@ -672,9 +699,9 @@ func (s *Session) evaluateConfigs(cfgs []knob.Config) ([]Sample, error) {
 		for i := len(out) - recorded; i < len(out); i++ {
 			out[i].Time = now
 			s.Pool.Add(out[i])
-			if f := s.Fitness(out[i].Perf); f > s.bestFit && !out[i].Perf.Failed {
-				s.bestFit = f
-				s.curve = append(s.curve, CurvePoint{Time: now, Perf: out[i].Perf, Step: out[i].Step})
+			if f := s.Fitness(out[i].Perf); f > s.run.BestFit && !out[i].Perf.Failed {
+				s.run.BestFit = f
+				s.run.Curve = append(s.run.Curve, CurvePoint{Time: now, Perf: out[i].Perf, Step: out[i].Step})
 				if s.Trace != nil {
 					s.tel.best.Set(f)
 					s.Trace.Event("best_improved",
@@ -691,17 +718,17 @@ func (s *Session) evaluateConfigs(cfgs []knob.Config) ([]Sample, error) {
 		// Personalized-SLO stop: checked once per wave boundary, after the
 		// whole wave is accounted, so the stopping point depends only on
 		// virtual time and measured fitness — never on worker interleaving.
-		if t := s.Req.StopAtFitness; t > 0 && !s.targetHit && s.bestFit >= t {
-			s.targetHit = true
+		if t := s.Req.StopAtFitness; t > 0 && !s.run.TargetHit && s.run.BestFit >= t {
+			s.run.TargetHit = true
 			if s.Trace != nil {
 				s.Trace.Event("target_reached",
-					telemetry.A("fitness", s.bestFit),
+					telemetry.A("fitness", s.run.BestFit),
 					telemetry.A("target", t))
 			}
-			s.logf("fitness target reached", "fitness", s.bestFit, "target", t)
+			s.logf("fitness target reached", "fitness", s.run.BestFit, "target", t)
 		}
 		if lost > 0 {
-			s.resil.PartialWaves++
+			s.run.Resil.PartialWaves++
 			s.logf("wave degraded",
 				"configs", len(wave), "recorded", recorded, "lost", lost)
 		}
@@ -746,26 +773,27 @@ func (s *Session) ScheduleDrift(at time.Duration, p *workload.Profile) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	// Stable insertion into the pending tail (indices >= driftIdx): already
+	// Stable insertion into the pending tail (indices >= DriftIdx): already
 	// fired entries are history and never reordered.
-	i := len(s.drifts)
-	for i > s.driftIdx && s.drifts[i-1].At > at {
+	r := &s.run
+	i := len(r.Drifts)
+	for i > r.DriftIdx && r.Drifts[i-1].At > at {
 		i--
 	}
-	s.drifts = append(s.drifts, scheduledDrift{})
-	copy(s.drifts[i+1:], s.drifts[i:])
-	s.drifts[i] = scheduledDrift{At: at, To: p}
+	r.Drifts = append(r.Drifts, scheduledDrift{})
+	copy(r.Drifts[i+1:], r.Drifts[i:])
+	r.Drifts[i] = scheduledDrift{At: at, To: p}
 	return nil
 }
 
 // Drifted reports whether at least one scheduled drift has fired.
-func (s *Session) Drifted() bool { return s.driftIdx > 0 }
+func (s *Session) Drifted() bool { return s.run.DriftIdx > 0 }
 
 // ScheduledDrifts returns the firing times and profile names of the whole
 // drift queue (fired and pending), for resume verification.
 func (s *Session) ScheduledDrifts() []workload.DriftEvent {
-	out := make([]workload.DriftEvent, len(s.drifts))
-	for i, d := range s.drifts {
+	out := make([]workload.DriftEvent, len(s.run.Drifts))
+	for i, d := range s.run.Drifts {
 		out[i] = workload.DriftEvent{At: d.At, Profile: d.To}
 	}
 	return out
@@ -774,9 +802,10 @@ func (s *Session) ScheduledDrifts() []workload.DriftEvent {
 // maybeDrift fires every scheduled drift the clock has passed, in order.
 func (s *Session) maybeDrift() {
 	fired := false
-	for s.driftIdx < len(s.drifts) && s.Clock.Now() >= s.drifts[s.driftIdx].At {
-		d := s.drifts[s.driftIdx]
-		s.driftIdx++
+	r := &s.run
+	for r.DriftIdx < len(r.Drifts) && s.Clock.Now() >= r.Drifts[r.DriftIdx].At {
+		d := r.Drifts[r.DriftIdx]
+		r.DriftIdx++
 		fired = true
 		s.logf("workload drift", "to", d.To.Name)
 		s.Trace.Event("workload_drift")
@@ -798,8 +827,8 @@ func (s *Session) maybeDrift() {
 		s.charge("drift_restress", took)
 		s.DefaultPerf = perf
 	}
-	s.bestFit = math.Inf(-1)
-	s.bestSince = s.drifts[s.driftIdx-1].At
+	r.BestFit = math.Inf(-1)
+	r.BestSince = r.Drifts[r.DriftIdx-1].At
 	s.publishStatus(false)
 	// The pre-drift samples stay in the pool (they are the history the
 	// learning methods exploit) but the curve restarts from the drift.
@@ -813,7 +842,7 @@ func (s *Session) Best() (Sample, bool) {
 	best, found := Sample{}, false
 	bestF := math.Inf(-1)
 	for _, smp := range s.Pool.All() {
-		if smp.Time < s.bestSince {
+		if smp.Time < s.run.BestSince {
 			continue
 		}
 		if f := s.Fitness(smp.Perf); f > bestF {
@@ -862,8 +891,8 @@ func (s *Session) deployToUser(cfg knob.Config) (time.Duration, error) {
 		}
 		b := s.chaos.Backoff(attempt)
 		s.charge("deploy_backoff", b)
-		s.resil.Retries++
-		s.resil.BackoffTime += b
+		s.run.Resil.Retries++
+		s.run.Resil.BackoffTime += b
 		if s.tel != nil {
 			s.tel.backoffH.Observe(b)
 		}

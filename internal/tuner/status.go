@@ -75,7 +75,7 @@ func (s *Session) EnterPhase(name string) {
 
 // Status builds the session's current status view.
 func (s *Session) Status(done bool) SessionStatus {
-	best := s.bestFit
+	best := s.run.BestFit
 	if math.IsInf(best, 0) || math.IsNaN(best) {
 		best = 0
 	}
@@ -83,14 +83,14 @@ func (s *Session) Status(done bool) SessionStatus {
 		Key:            s.statusKey,
 		Name:           s.statusName,
 		Phase:          s.phase,
-		Wave:           s.waveCount,
-		Steps:          s.steps,
+		Wave:           s.run.WaveCount,
+		Steps:          s.run.Steps,
 		Samples:        s.Pool.Len(),
 		Clones:         len(s.Clones),
 		VirtualSeconds: s.Clock.Now().Seconds(),
 		BudgetSeconds:  s.Req.Budget.Seconds(),
 		BestFitness:    best,
-		Drifted:        s.driftIdx > 0,
+		Drifted:        s.Drifted(),
 		Done:           done,
 		Resilience:     s.Resilience(),
 		Safety:         s.Safety(),

@@ -23,9 +23,9 @@ import (
 // every path in this file is dead code and the session is byte-identical
 // to the fault-free build.
 
-// resilienceStats is the supervisor's running tally (persisted by
-// checkpoints so a resumed run reports the whole session).
-type resilienceStats struct {
+// ResilienceStats is the supervisor's running tally. It is part of the
+// session's durable run, so a resumed run reports the whole session.
+type ResilienceStats struct {
 	Retries      int64         // transient faults retried (deploy + provisioning)
 	BackoffTime  time.Duration // virtual time spent in retry backoff
 	Timeouts     int64         // actors abandoned at the wave deadline
@@ -44,13 +44,7 @@ type ResilienceReport struct {
 
 	Injected chaos.Counts
 
-	Retries      int64
-	BackoffTime  time.Duration
-	Timeouts     int64
-	SamplesLost  int64
-	Replacements int64
-	Quarantined  int64
-	PartialWaves int64
+	ResilienceStats
 	// FleetSize is the number of clones still in service at report time.
 	FleetSize int
 }
@@ -63,16 +57,10 @@ func (s *Session) Resilience() *ResilienceReport {
 	}
 	plan := s.Req.Chaos
 	r := &ResilienceReport{
-		Profile:      s.chaos.Profile().Name,
-		Injected:     s.chaos.Counts(),
-		Retries:      s.resil.Retries,
-		BackoffTime:  s.resil.BackoffTime,
-		Timeouts:     s.resil.Timeouts,
-		SamplesLost:  s.resil.SamplesLost,
-		Replacements: s.resil.Replacements,
-		Quarantined:  s.resil.Quarantined,
-		PartialWaves: s.resil.PartialWaves,
-		FleetSize:    len(s.Clones),
+		Profile:         s.chaos.Profile().Name,
+		Injected:        s.chaos.Counts(),
+		ResilienceStats: s.run.Resil,
+		FleetSize:       len(s.Clones),
 	}
 	if plan != nil {
 		r.Seed = plan.Seed
@@ -112,12 +100,17 @@ func nominalStep(c StepCosts) time.Duration {
 // -chaos-seed re-rolls the faults without re-seeding the tuning
 // trajectory. Called before any instance is provisioned.
 func (s *Session) armChaos(plan *chaos.Plan) {
-	if !plan.Enabled() {
-		return
+	if plan.Enabled() {
+		s.setChaos(chaos.NewEngine(s.RNG.Int63()^plan.Seed, plan.Profile))
 	}
-	s.chaos = chaos.NewEngine(s.RNG.Int63()^plan.Seed, plan.Profile)
-	s.Provider.SetChaos(s.chaos)
-	s.deadline = time.Duration(s.chaos.DeadlineFactor() * float64(nominalStep(s.Costs)))
+}
+
+// setChaos installs a fault injector on the session and its control plane
+// and derives the per-actor wave deadline from it.
+func (s *Session) setChaos(e *chaos.Engine) {
+	s.chaos = e
+	s.Provider.SetChaos(e)
+	s.deadline = time.Duration(e.DeadlineFactor() * float64(nominalStep(s.Costs)))
 }
 
 // createWithRetry provisions an instance, absorbing injected boot
@@ -150,8 +143,8 @@ func (s *Session) provisionWithRetry(what string, provision func() (*cloud.Insta
 		}
 		b := s.chaos.Backoff(attempt)
 		s.charge("provision_backoff", b)
-		s.resil.Retries++
-		s.resil.BackoffTime += b
+		s.run.Resil.Retries++
+		s.run.Resil.BackoffTime += b
 		if s.tel != nil {
 			s.tel.backoffH.Observe(b)
 		}
@@ -195,7 +188,7 @@ func (s *Session) repairFleet(results []actorResult) {
 			a.strikes++
 		}
 		if a.strikes >= s.chaos.QuarantineAfter() {
-			s.resil.Quarantined++
+			s.run.Resil.Quarantined++
 			s.Provider.Release(a.Clone)
 			if s.Trace != nil {
 				s.Trace.Event("actor_quarantined", telemetry.A("actor", float64(a.ID)))
@@ -210,7 +203,7 @@ func (s *Session) repairFleet(results []actorResult) {
 			c, err := s.cloneWithRetry(s.User)
 			if err != nil {
 				// No replacement to be had: the slot is out of service.
-				s.resil.Quarantined++
+				s.run.Resil.Quarantined++
 				if s.Trace != nil {
 					s.Trace.Event("actor_quarantined", telemetry.A("actor", float64(a.ID)))
 				}
@@ -221,7 +214,7 @@ func (s *Session) repairFleet(results []actorResult) {
 			if s.warmStateDeltas() {
 				applyWarmDeltas(c)
 			}
-			s.resil.Replacements++
+			s.run.Resil.Replacements++
 			replaced = true
 			if s.Trace != nil {
 				s.Trace.Event("clone_replaced", telemetry.A("actor", float64(a.ID)))

@@ -79,9 +79,6 @@ func (g *DepGraph) Len() int { return g.n }
 // Children returns the dependents of transaction i.
 func (g *DepGraph) Children(i int) []int { return g.children[i] }
 
-// InDegree returns the number of parents of transaction i.
-func (g *DepGraph) InDegree(i int) int { return g.parents[i] }
-
 // Depth returns the longest dependency chain length (number of levels).
 func (g *DepGraph) Depth() int {
 	max := 0

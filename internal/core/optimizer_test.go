@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"github.com/hunter-cdb/hunter/internal/metrics"
+	"github.com/hunter-cdb/hunter/internal/ml/ddpg"
+	"github.com/hunter-cdb/hunter/internal/sim"
 	"github.com/hunter-cdb/hunter/internal/simdb"
 	"github.com/hunter-cdb/hunter/internal/tuner"
 	"github.com/hunter-cdb/hunter/internal/workload"
@@ -148,5 +151,34 @@ func TestOptimizerTooFewSamples(t *testing.T) {
 	seedPool(t, s, 2)
 	if _, err := optimizeSearchSpace(Options{}.withDefaults(), s); err == nil {
 		t.Fatal("2 samples should be rejected")
+	}
+}
+
+// TestResumeRecommenderRejectsAgentDims: a checkpoint whose DDPG agent
+// was built for another state or action space must fail resume, not
+// panic at the agent's first action.
+func TestResumeRecommenderRejectsAgentDims(t *testing.T) {
+	s := optimizerSession(t)
+	seedPool(t, s, 140)
+	opts := Options{}.withDefaults()
+	opt, err := optimizeSearchSpace(opts, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, ad := opt.StateDim(), opt.Space().Dim()
+	for _, dims := range [][2]int{{sd, ad}, {sd + 1, ad}, {sd, ad - 1}} {
+		agent, err := ddpg.New(ddpg.Config{StateDim: dims[0], ActionDim: dims[1], Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := agent.SnapshotTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		st := &recState{Agent: buf.Bytes(), RNG: sim.NewRNG(2).State(), State: make([]float64, sd)}
+		_, err = resumeRecommender(opts, s, opt, st)
+		if match := dims == [2]int{sd, ad}; (err == nil) != match {
+			t.Errorf("agent dims %v against optimizer (%d,%d): resume error %v", dims, sd, ad, err)
+		}
 	}
 }

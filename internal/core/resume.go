@@ -132,6 +132,9 @@ func resumeRecommender(opts Options, s *tuner.Session, opt *spaceOptimizer, st *
 	if len(st.State) != opt.StateDim() {
 		return nil, fmt.Errorf("core: checkpoint state dim %d != optimizer %d", len(st.State), opt.StateDim())
 	}
+	if sd, ad := agent.Dims(); sd != opt.StateDim() || ad != opt.Space().Dim() {
+		return nil, fmt.Errorf("core: checkpoint agent dims (%d,%d) != optimizer (%d,%d)", sd, ad, opt.StateDim(), opt.Space().Dim())
+	}
 	r := &recommender{
 		opts:    opts,
 		s:       s,

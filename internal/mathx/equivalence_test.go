@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -41,13 +42,15 @@ func randMatrix(rng *sim.RNG, rows, cols int) *Matrix {
 	return m
 }
 
+// bitEqual compares bit patterns, so a +0 where the reference has −0
+// fails too.
 func bitEqual(t *testing.T, what string, a, b []float64) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: length %d != %d", what, len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("%s: element %d differs: %v != %v", what, i, a[i], b[i])
 		}
 	}

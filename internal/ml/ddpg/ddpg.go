@@ -26,17 +26,19 @@ type Transition struct {
 // Replay is a bounded FIFO experience buffer with uniform sampling.
 type Replay struct {
 	buf  []Transition
-	cap  int
+	cap  int // logical bound; buf grows by append until it holds cap
 	pos  int
 	full bool
 }
 
-// NewReplay creates a buffer holding up to capacity transitions.
+// NewReplay creates a buffer holding up to capacity transitions. Storage
+// grows with the transitions added, not with the bound: a session stores
+// a few hundred of the default 100,000.
 func NewReplay(capacity int) *Replay {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Replay{buf: make([]Transition, 0, capacity), cap: capacity}
+	return &Replay{cap: capacity}
 }
 
 // Add appends a transition, evicting the oldest when full.
@@ -232,7 +234,8 @@ func (a *Agent) Observe(t Transition) {
 // networks lands in ascending batch-row order per element — the exact
 // order of the per-transition loop it replaces. The resulting weights are
 // therefore bit-identical to the former per-sample implementation, for
-// any worker count, and a warm step allocates nothing.
+// any worker count. The minibatch passes of a warm step allocate nothing;
+// what remains is the closure headers of the Adam and soft-update loops.
 func (a *Agent) TrainStep() float64 {
 	if a.replay.Len() < a.cfg.BatchSize {
 		return 0
@@ -295,8 +298,9 @@ func (a *Agent) TrainStep() float64 {
 
 	// --- Actor update: ascend Q(s, μ(s)) ---
 	// Action gradients flow through the (now frozen) critic's batched
-	// input-gradient pass; the actor's backward then accumulates over the
-	// same batched activations in batch-row order.
+	// input-gradient pass, computed for the action columns only; the
+	// actor's backward then accumulates over the same batched activations
+	// in batch-row order.
 	for i, j := range ws.idx {
 		copy(ws.states[i*s:(i+1)*s], a.replay.buf[j].State)
 	}
@@ -309,7 +313,7 @@ func (a *Agent) TrainStep() float64 {
 	for i := range ws.dq {
 		ws.dq[i] = 1
 	}
-	dIn := a.critic.InputGradBatch(&ws.critic, ws.dq)
+	dIn := a.critic.InputGradBatch(&ws.critic, ws.dq, s, s+ad)
 	// Negate: MLP.Step descends, we want ascent on Q.
 	for i := 0; i < n; i++ {
 		dAct := dIn[i*(s+ad)+s : (i+1)*(s+ad)]
@@ -334,6 +338,9 @@ func (a *Agent) Q(state, action []float64) float64 {
 	sa = append(sa, action...)
 	return a.critic.Forward(sa)[0]
 }
+
+// Dims returns the agent's state and action dimensionality.
+func (a *Agent) Dims() (state, action int) { return a.cfg.StateDim, a.cfg.ActionDim }
 
 // Steps returns the number of training steps performed.
 func (a *Agent) Steps() int { return a.steps }

@@ -54,6 +54,9 @@ func (a *Agent) RestoreFrom(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return err
 	}
+	if err := st.check(); err != nil {
+		return err
+	}
 	fresh, err := New(st.Cfg)
 	if err != nil {
 		return fmt.Errorf("ddpg: snapshot config: %w", err)
@@ -70,11 +73,12 @@ func (a *Agent) RestoreFrom(r io.Reader) error {
 	if err := fresh.criticT.SetState(st.CriticT); err != nil {
 		return err
 	}
-	if len(st.ReplayBuf) > fresh.cfg.Capacity {
-		return fmt.Errorf("ddpg: snapshot replay holds %d transitions, capacity %d", len(st.ReplayBuf), fresh.cfg.Capacity)
+	if len(st.ReplayBuf) > fresh.replay.cap {
+		return fmt.Errorf("ddpg: snapshot replay holds %d transitions, capacity %d", len(st.ReplayBuf), fresh.replay.cap)
 	}
-	if st.ReplayPos < 0 || (len(st.ReplayBuf) > 0 && st.ReplayPos >= fresh.cfg.Capacity) {
-		return fmt.Errorf("ddpg: snapshot replay cursor %d out of range", st.ReplayPos)
+	// The cursor only moves once the buffer is full.
+	if st.ReplayPos < 0 || st.ReplayPos >= fresh.replay.cap || (st.ReplayPos != 0 && len(st.ReplayBuf) < fresh.replay.cap) {
+		return fmt.Errorf("ddpg: snapshot replay cursor %d out of range for %d of %d transitions", st.ReplayPos, len(st.ReplayBuf), fresh.replay.cap)
 	}
 	for i, t := range st.ReplayBuf {
 		if len(t.State) != st.Cfg.StateDim || len(t.Action) != st.Cfg.ActionDim {
@@ -90,5 +94,29 @@ func (a *Agent) RestoreFrom(r io.Reader) error {
 	}
 	fresh.steps = st.Steps
 	*a = *fresh
+	return nil
+}
+
+// check validates a decoded state before New sizes anything from it: the
+// configuration must describe exactly the four networks that were decoded
+// (layer count, the positive In/Out chains and every slice length), so
+// each allocation New makes is bounded by bytes actually read, and the
+// batch size must be one TrainStep can gather.
+func (st *agentState) check() error {
+	cfg := st.Cfg.withDefaults()
+	if cfg.BatchSize < 1 {
+		return fmt.Errorf("ddpg: snapshot batch size %d must be positive", cfg.BatchSize)
+	}
+	actor := append(append([]int{cfg.StateDim}, cfg.Hidden...), cfg.ActionDim)
+	critic := append(append([]int{cfg.StateDim + cfg.ActionDim}, cfg.Hidden...), 1)
+	for _, net := range []struct {
+		name  string
+		st    nn.State
+		sizes []int
+	}{{"actor", st.Actor, actor}, {"critic", st.Critic, critic}, {"target actor", st.ActorT, actor}, {"target critic", st.CriticT, critic}} {
+		if err := net.st.CheckSizes(net.sizes); err != nil {
+			return fmt.Errorf("ddpg: snapshot %s: %w", net.name, err)
+		}
+	}
 	return nil
 }

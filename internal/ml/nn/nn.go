@@ -64,6 +64,55 @@ func (a Activation) deriv(y float64) float64 {
 	return 1
 }
 
+// applyAll applies the activation to every element of y in place: one
+// switch per layer instead of one apply call per element, with the same
+// arithmetic per element. ReLU keeps v unless v < 0, so −0 and NaN pass
+// through exactly as apply passes them.
+func (a Activation) applyAll(y []float64) {
+	switch a {
+	case ReLU:
+		for i, v := range y {
+			if v < 0 {
+				y[i] = 0
+			}
+		}
+	case Tanh:
+		for i, v := range y {
+			y[i] = math.Tanh(v)
+		}
+	case Sigmoid:
+		for i, v := range y {
+			y[i] = 1 / (1 + math.Exp(-v))
+		}
+	}
+}
+
+// scaleByDeriv multiplies each gradient g[i] by the derivative at the
+// activated output y[i], one switch per layer, with the same arithmetic
+// per element as deriv. ReLU multiplies by exactly 1 or 0, so the sign of
+// a zeroed gradient is kept; Linear's factor 1 leaves g as it is.
+func (a Activation) scaleByDeriv(g, y []float64) {
+	y = y[:len(g)]
+	switch a {
+	case ReLU:
+		for i, v := range y {
+			d := 0.0
+			if v > 0 {
+				d = 1
+			}
+			g[i] *= d
+		}
+	case Tanh:
+		for i, v := range y {
+			g[i] *= 1 - v*v
+		}
+	case Sigmoid:
+		for i, v := range y {
+			g[i] *= v * (1 - v)
+		}
+	}
+}
+
 type layer struct {
 	in, out int
 	act     Activation
@@ -347,9 +396,8 @@ func (ws *BatchWorkspace) ensure(m *MLP, n int) {
 // BackwardBatch or InputGradBatch. The returned n×OutDim slice aliases the
 // workspace and stays valid until the next ForwardBatch on ws. Each row's
 // arithmetic — the dense GEMV accumulation and the activation — is
-// bit-identical to calling Forward on that row alone; rows are independent
-// and fan out inside the mathx kernels. x must stay unmodified until the
-// matching backward pass has run.
+// bit-identical to calling Forward on that row alone. x must stay
+// unmodified until the matching backward pass has run.
 func (m *MLP) ForwardBatch(ws *BatchWorkspace, x []float64, n int) []float64 {
 	if len(x) != n*m.InDim() {
 		panic(fmt.Sprintf("nn: batch input len %d != %d×%d", len(x), n, m.InDim()))
@@ -360,9 +408,7 @@ func (m *MLP) ForwardBatch(ws *BatchWorkspace, x []float64, n int) []float64 {
 	for l, ly := range m.layers {
 		y := ws.ys[l]
 		mathx.GemmBias(ly.w, ly.in, ly.out, cur, ly.b, y, n)
-		for i, s := range y {
-			y[i] = ly.act.apply(s)
-		}
+		ly.act.applyAll(y)
 		cur = y
 	}
 	return cur
@@ -385,10 +431,7 @@ func (m *MLP) BackwardBatch(ws *BatchWorkspace, dOut []float64) {
 	copy(grad, dOut)
 	for l := len(m.layers) - 1; l >= 0; l-- {
 		ly := m.layers[l]
-		y := ws.ys[l]
-		for i := range grad {
-			grad[i] *= ly.act.deriv(y[i])
-		}
+		ly.act.scaleByDeriv(grad, ws.ys[l])
 		mathx.BiasGradAccum(ly.gb, ly.out, grad, n)
 		xin := ws.x
 		if l > 0 {
@@ -397,7 +440,7 @@ func (m *MLP) BackwardBatch(ws *BatchWorkspace, dOut []float64) {
 		mathx.GemmOuterAccum(ly.gw, ly.in, ly.out, grad, xin, n)
 		if l > 0 {
 			din := ws.d[:n*ly.in]
-			mathx.GemmTIn(ly.w, ly.in, ly.out, grad, din, n)
+			mathx.GemmTIn(ly.w, ly.in, ly.out, grad, din, n, 0, ly.in)
 			ws.g, ws.d = ws.d, ws.g
 			grad = din
 		}
@@ -407,10 +450,12 @@ func (m *MLP) BackwardBatch(ws *BatchWorkspace, dOut []float64) {
 // InputGradBatch returns dLoss/dInput (flat n×InDim) for the most recent
 // ForwardBatch on ws given dOut, without touching the parameter gradient
 // accumulators — the batched form of the critic's action-gradient pass,
-// where only the input gradient is needed. Rows are independent and each
-// row's accumulation order matches the single-sample Backward exactly.
-// The returned slice aliases the workspace.
-func (m *MLP) InputGradBatch(ws *BatchWorkspace, dOut []float64) []float64 {
+// where only the input gradient is needed. Only the input columns [lo,hi)
+// are computed; the other columns of the result are not written. Rows and
+// columns are independent, and each computed element's accumulation order
+// matches the single-sample Backward exactly. The returned slice aliases
+// the workspace.
+func (m *MLP) InputGradBatch(ws *BatchWorkspace, dOut []float64, lo, hi int) []float64 {
 	n := ws.n
 	if len(dOut) != n*m.OutDim() {
 		panic(fmt.Sprintf("nn: batch grad len %d != %d×%d", len(dOut), n, m.OutDim()))
@@ -419,12 +464,13 @@ func (m *MLP) InputGradBatch(ws *BatchWorkspace, dOut []float64) []float64 {
 	copy(grad, dOut)
 	for l := len(m.layers) - 1; l >= 0; l-- {
 		ly := m.layers[l]
-		y := ws.ys[l]
-		for i := range grad {
-			grad[i] *= ly.act.deriv(y[i])
-		}
+		ly.act.scaleByDeriv(grad, ws.ys[l])
 		din := ws.d[:n*ly.in]
-		mathx.GemmTIn(ly.w, ly.in, ly.out, grad, din, n)
+		if l > 0 {
+			mathx.GemmTIn(ly.w, ly.in, ly.out, grad, din, n, 0, ly.in)
+		} else {
+			mathx.GemmTIn(ly.w, ly.in, ly.out, grad, din, n, lo, hi)
+		}
 		ws.g, ws.d = ws.d, ws.g
 		grad = din
 	}

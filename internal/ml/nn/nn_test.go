@@ -218,3 +218,36 @@ func TestActivations(t *testing.T) {
 		t.Fatal("linear wrong")
 	}
 }
+
+// TestActivationSwitchMatchesPerElement pins the per-layer activation
+// passes the batch kernels use to the per-element apply/deriv the
+// single-sample path uses, bit for bit, on the values where a rewrite
+// could slip: signed zeros, NaN and infinities.
+func TestActivationSwitchMatchesPerElement(t *testing.T) {
+	nz := math.Copysign(0, -1)
+	vals := []float64{-2, -0.5, nz, 0, 1e-300, 0.5, 3, math.NaN(), math.Inf(1), math.Inf(-1)}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, act := range []Activation{Linear, ReLU, Tanh, Sigmoid} {
+		y := append([]float64(nil), vals...)
+		act.applyAll(y)
+		for i, v := range vals {
+			if want := act.apply(v); !same(y[i], want) {
+				t.Fatalf("activation %d: applyAll(%v) = %v, apply %v", act, v, y[i], want)
+			}
+		}
+		for _, gv := range vals {
+			g := make([]float64, len(vals))
+			for i := range g {
+				g[i] = gv
+			}
+			act.scaleByDeriv(g, vals)
+			for i, v := range vals {
+				if want := gv * act.deriv(v); !same(g[i], want) {
+					t.Fatalf("activation %d: gradient %v at output %v scaled to %v, deriv gives %v", act, gv, v, g[i], want)
+				}
+			}
+		}
+	}
+}

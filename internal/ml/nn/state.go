@@ -40,23 +40,38 @@ func (m *MLP) State() State {
 	return st
 }
 
+// CheckSizes reports whether st describes an MLP with exactly the given
+// positive layer sizes (input first), every parameter and moment slice at
+// its length. It multiplies no decoded size, so a caller can check decoded
+// geometry before building a network from it: for a state that passes,
+// every allocation the network makes is bounded by slices already read.
+func (st State) CheckSizes(sizes []int) error {
+	if len(st.Layers) != len(sizes)-1 {
+		return fmt.Errorf("nn: state has %d layers, network has %d", len(st.Layers), len(sizes)-1)
+	}
+	for i, ls := range st.Layers {
+		in, out := sizes[i], sizes[i+1]
+		if in <= 0 || out <= 0 || ls.In != in || ls.Out != out {
+			return fmt.Errorf("nn: layer %d geometry %dx%d != %dx%d", i, ls.Out, ls.In, out, in)
+		}
+		if len(ls.B) != out || len(ls.MB) != out || len(ls.VB) != out ||
+			len(ls.W)%out != 0 || len(ls.W)/out != in || len(ls.MW) != len(ls.W) || len(ls.VW) != len(ls.W) {
+			return fmt.Errorf("nn: layer %d state slice lengths inconsistent with %dx%d", i, out, in)
+		}
+	}
+	return nil
+}
+
 // SetState restores a state captured by State. The layer geometry must
 // match the receiver exactly; on any mismatch the receiver is left
 // unchanged.
 func (m *MLP) SetState(st State) error {
-	if len(st.Layers) != len(m.layers) {
-		return fmt.Errorf("nn: state has %d layers, network has %d", len(st.Layers), len(m.layers))
+	sizes := []int{m.InDim()}
+	for _, ly := range m.layers {
+		sizes = append(sizes, ly.out)
 	}
-	for i, ls := range st.Layers {
-		ly := m.layers[i]
-		if ls.In != ly.in || ls.Out != ly.out {
-			return fmt.Errorf("nn: layer %d geometry %dx%d != %dx%d", i, ls.Out, ls.In, ly.out, ly.in)
-		}
-		if len(ls.W) != ly.in*ly.out || len(ls.B) != ly.out ||
-			len(ls.MW) != ly.in*ly.out || len(ls.VW) != ly.in*ly.out ||
-			len(ls.MB) != ly.out || len(ls.VB) != ly.out {
-			return fmt.Errorf("nn: layer %d state slice lengths inconsistent with %dx%d", i, ls.Out, ls.In)
-		}
+	if err := st.CheckSizes(sizes); err != nil {
+		return err
 	}
 	for i, ls := range st.Layers {
 		ly := m.layers[i]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -335,4 +336,76 @@ func TestRegistryLoadCorruption(t *testing.T) {
 	if _, ok := live.Match("keep", []string{"x"}, 3); !ok {
 		t.Fatal("failed loads clobbered the live model")
 	}
+}
+
+// FuzzReuseRegistryRestore feeds RestoreFrom a registry whose one model
+// had its state dimension, snapshot dimensions, knob count and one weight
+// vector's length overwritten, as a corrupt or hostile registry file or
+// fleet-store section would. RestoreFrom must not panic, and a model that
+// Match then hands out must restore into a fresh agent of the probe's
+// dimensions completely or not at all.
+func FuzzReuseRegistryRestore(f *testing.F) {
+	cfg := ddpg.Config{StateDim: 4, ActionDim: 3, Hidden: []int{8, 8}, Seed: 1}
+	donor, err := ddpg.New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const sig = "mysql/tpcc"
+	probe := []string{"a", "b", "c"}
+	src := NewReuseRegistry()
+	src.Commit(Model{Signature: sig, Tag: "donor", KnobNames: probe, StateDim: cfg.StateDim, Fitness: 1, Snap: donor.Snapshot()})
+	var buf bytes.Buffer
+	if err := src.SnapshotTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	data := buf.Bytes()
+	f.Add(4, 4, 3, uint8(3), uint8(0), int16(0))  // as committed
+	f.Add(4, 4, 3, uint8(3), uint8(1), int16(-1)) // critic one weight short
+	f.Fuzz(func(t *testing.T, stateDim, snapState, snapAction int, knobs, vec uint8, delta int16) {
+		var dump registryDump
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dump); err != nil {
+			t.Fatal(err)
+		}
+		m := dump.Entries[sig]
+		m.StateDim, m.Snap.StateDim, m.Snap.ActionDim = stateDim, snapState, snapAction
+		// The probe's knobs first, so four names still overlap enough to
+		// match a probe of three.
+		m.KnobNames = nil
+		for i := 0; i < int(knobs%8); i++ {
+			m.KnobNames = append(m.KnobNames, string(rune('a'+i)))
+		}
+		// One weight vector gains delta zeros or loses its last -delta.
+		w := []*[]float64{&m.Snap.Actor, &m.Snap.Critic, &m.Snap.ActorT, &m.Snap.CriticT}[vec%4]
+		*w = append(*w, make([]float64, max(int(delta), 0))...)[:max(len(*w)+int(delta), 0)]
+		dump.Entries[sig] = m
+		var crafted bytes.Buffer
+		if err := gob.NewEncoder(&crafted).Encode(dump); err != nil {
+			t.Fatal(err)
+		}
+
+		r := NewReuseRegistry()
+		if err := r.RestoreFrom(&crafted); err != nil {
+			return
+		}
+		got, ok := r.Match(sig, probe, cfg.StateDim)
+		if !ok {
+			return
+		}
+		fresh := cfg
+		fresh.Seed = 2
+		a, err := ddpg.New(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := a.Snapshot()
+		if err := a.Restore(got.Snap); err != nil {
+			if !reflect.DeepEqual(a.Snapshot(), before) {
+				t.Fatalf("failed restore (%v) changed the agent", err)
+			}
+			return
+		}
+		if !reflect.DeepEqual(a.Snapshot(), got.Snap) {
+			t.Fatal("restore succeeded but the agent does not hold the snapshot")
+		}
+	})
 }

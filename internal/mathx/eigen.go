@@ -4,15 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/hunter-cdb/hunter/internal/parallel"
 )
-
-// rotGrain is the minimum row span per chunk when a Jacobi rotation's
-// inner loops fan out. Each row costs ~6 flops, so matrices below a few
-// thousand rows (every covariance this repo builds) stay on the serial
-// path; the fan-out exists for the large-matrix regime.
-const rotGrain = 4096
 
 // Eigen holds the eigendecomposition of a symmetric matrix: Values sorted
 // descending and Vectors with the corresponding eigenvector in each row.
@@ -21,74 +13,26 @@ type Eigen struct {
 	Vectors *Matrix // row i is the eigenvector for Values[i]
 }
 
-// EigenWorkspace holds the Jacobi iteration's scratch (the working copy of
-// the input, the accumulated rotations, the sort permutation and the
-// output buffers) so repeated decompositions of same-sized matrices
-// allocate nothing. The Eigen returned by SymEigenWS aliases the
-// workspace and is valid until its next use.
-type EigenWorkspace struct {
-	w, v, vecs *Matrix
-	vals       []float64
-	idx        []int
-}
-
 // SymEigen computes the eigendecomposition of a symmetric matrix using the
 // cyclic Jacobi rotation method. The matrices here are covariance matrices
 // over at most a few dozen metrics, where Jacobi is simple, numerically
 // robust and fast enough.
-func SymEigen(a *Matrix) (*Eigen, error) { return SymEigenWS(nil, a) }
-
-// SymEigenWS is SymEigen with caller-owned scratch: a nil workspace
-// allocates freshly, a non-nil one is grown on first use and reused
-// afterwards (the result then aliases the workspace). The arithmetic — and
-// therefore every output bit — is identical either way.
-func SymEigenWS(ws *EigenWorkspace, a *Matrix) (*Eigen, error) {
+func SymEigen(a *Matrix) (*Eigen, error) {
 	n := a.Rows
 	if a.Cols != n {
 		return nil, fmt.Errorf("mathx: eigen requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	// Work on a copy; accumulate rotations into v.
-	var w, v *Matrix
-	if ws != nil {
-		w = ReuseMatrix(&ws.w, n, n)
-		copy(w.Data, a.Data)
-		v = ReuseMatrix(&ws.v, n, n)
-		for i := range v.Data {
-			v.Data[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			v.Set(i, i, 1)
-		}
-	} else {
-		w = a.Clone()
-		v = Identity(n)
-	}
+	w := a.Clone()
+	v := Identity(n)
 
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// Off-diagonal norm. Small matrices (the only kind this repo
-		// decomposes) take the plain serial loop — one chunk's worth of
-		// work, same summation order as the single-chunk ordered
-		// reduction, no closure or fan-out overhead. Large matrices use
-		// the ordered chunk reduction: partials fold in row order, so the
-		// sweep count is worker-independent.
 		var off float64
-		if n <= rotGrain {
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					off += w.At(i, j) * w.At(i, j)
-				}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += w.At(i, j) * w.At(i, j)
 			}
-		} else {
-			off = parallel.ReduceOrdered(n, rotGrain, func(lo, hi int) float64 {
-				var s float64
-				for i := lo; i < hi; i++ {
-					for j := i + 1; j < n; j++ {
-						s += w.At(i, j) * w.At(i, j)
-					}
-				}
-				return s
-			}, func(acc, p float64) float64 { return acc + p }, 0)
 		}
 		if off < 1e-20 {
 			break
@@ -109,21 +53,8 @@ func SymEigenWS(ws *EigenWorkspace, a *Matrix) (*Eigen, error) {
 		}
 	}
 
-	eig := &Eigen{}
-	var idx []int
-	if ws != nil {
-		if cap(ws.vals) < n {
-			ws.vals = make([]float64, n)
-			ws.idx = make([]int, n)
-		}
-		eig.Values = ws.vals[:n]
-		eig.Vectors = ReuseMatrix(&ws.vecs, n, n)
-		idx = ws.idx[:n]
-	} else {
-		eig.Values = make([]float64, n)
-		eig.Vectors = NewMatrix(n, n)
-		idx = make([]int, n)
-	}
+	eig := &Eigen{Values: make([]float64, n), Vectors: NewMatrix(n, n)}
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -138,51 +69,22 @@ func SymEigenWS(ws *EigenWorkspace, a *Matrix) (*Eigen, error) {
 }
 
 // rotate applies the Jacobi rotation (p, q, c, s) to w and accumulates it
-// into the eigenvector matrix v. Small matrices run the three passes as
-// plain loops — identical iteration order to a single-chunk fan-out, but
-// without allocating the three closures per rotation, which was the
-// dominant allocation cost of a whole PCA fit. Above the rotGrain cutoff
-// each pass updates independent rows (or columns) indexed by k and fans
-// out over row chunks; the passes themselves stay sequential because the
+// into the eigenvector matrix v. The passes run in order because the
 // column pass reads what the row pass wrote.
 func rotate(w, v *Matrix, p, q int, c, s float64, n int) {
-	if n <= rotGrain {
-		for k := 0; k < n; k++ {
-			wkp, wkq := w.At(k, p), w.At(k, q)
-			w.Set(k, p, c*wkp-s*wkq)
-			w.Set(k, q, s*wkp+c*wkq)
-		}
-		for k := 0; k < n; k++ {
-			wpk, wqk := w.At(p, k), w.At(q, k)
-			w.Set(p, k, c*wpk-s*wqk)
-			w.Set(q, k, s*wpk+c*wqk)
-		}
-		for k := 0; k < n; k++ {
-			vkp, vkq := v.At(k, p), v.At(k, q)
-			v.Set(k, p, c*vkp-s*vkq)
-			v.Set(k, q, s*vkp+c*vkq)
-		}
-		return
+	for k := 0; k < n; k++ {
+		wkp, wkq := w.At(k, p), w.At(k, q)
+		w.Set(k, p, c*wkp-s*wkq)
+		w.Set(k, q, s*wkp+c*wkq)
 	}
-	parallel.For(n, rotGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			wkp, wkq := w.At(k, p), w.At(k, q)
-			w.Set(k, p, c*wkp-s*wkq)
-			w.Set(k, q, s*wkp+c*wkq)
-		}
-	})
-	parallel.For(n, rotGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			wpk, wqk := w.At(p, k), w.At(q, k)
-			w.Set(p, k, c*wpk-s*wqk)
-			w.Set(q, k, s*wpk+c*wqk)
-		}
-	})
-	parallel.For(n, rotGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			vkp, vkq := v.At(k, p), v.At(k, q)
-			v.Set(k, p, c*vkp-s*vkq)
-			v.Set(k, q, s*vkp+c*vkq)
-		}
-	})
+	for k := 0; k < n; k++ {
+		wpk, wqk := w.At(p, k), w.At(q, k)
+		w.Set(p, k, c*wpk-s*wqk)
+		w.Set(q, k, s*wpk+c*wqk)
+	}
+	for k := 0; k < n; k++ {
+		vkp, vkq := v.At(k, p), v.At(k, q)
+		v.Set(k, p, c*vkp-s*vkq)
+		v.Set(k, q, s*vkp+c*vkq)
+	}
 }

@@ -1,140 +1,20 @@
 package mathx
 
-import (
-	"fmt"
-
-	"github.com/hunter-cdb/hunter/internal/parallel"
-)
-
-// Work cutoffs for the blocked/parallel kernels. Chunk sizes are derived
-// from operand shapes alone (never from the worker count), so chunk
-// boundaries — and with them every floating-point reduction — are
-// deterministic. Below one chunk's worth of work the kernels degenerate
-// to the plain serial loops and spawn nothing.
-const (
-	// mulChunkFlops is the minimum work per Mul row chunk (~a few hundred
-	// microseconds) before fanning out pays for goroutine handoff.
-	mulChunkFlops = 1 << 18
-	// mulBlockRows is the row-block height used once a matrix is tall
-	// enough: with multiple rows per chunk the kernel streams each
-	// kPanel-row panel of B once per block instead of once per row.
-	mulBlockRows = 32
-	// mulBlockMinRows is the height from which row blocking (rather than
-	// pure flop-derived chunking) is applied.
-	mulBlockMinRows = 8 * mulBlockRows
-	// kPanel is the B-panel height of the blocked ikj loop; 128 rows of a
-	// 1024-wide B is 1 MiB, sized to stay resident in L2 across a block.
-	kPanel = 128
-	// vecChunkFlops is the minimum work per chunk for the vector-shaped
-	// kernels (MulVec, GemvBias, OuterAccum, GemvTAccum).
-	vecChunkFlops = 1 << 15
-)
-
-// mulRowGrain returns the Mul chunk height for an aRows×aCols · aCols×bCols
-// product.
-func mulRowGrain(aRows, aCols, bCols int) int {
-	flopsPerRow := 2 * aCols * bCols
-	if flopsPerRow <= 0 {
-		return mulBlockRows
-	}
-	g := (mulChunkFlops + flopsPerRow - 1) / flopsPerRow
-	if aRows >= mulBlockMinRows && g < mulBlockRows {
-		g = mulBlockRows
-	}
-	return g
-}
-
-// rowGrain returns a chunk size covering at least vecChunkFlops of work
-// for a kernel doing flopsPerItem work per item.
-func rowGrain(flopsPerItem int) int {
-	if flopsPerItem <= 0 {
-		return vecChunkFlops
-	}
-	return (vecChunkFlops + flopsPerItem - 1) / flopsPerItem
-}
-
-// mulInto computes out = a·b with the blocked ikj kernel, fanning out
-// over row chunks. For every output element the k accumulation runs in
-// ascending order exactly as the naive loop does, so the result is
-// bit-identical to the serial kernel for any worker count.
-func mulInto(a, b, out *Matrix) {
-	parallel.For(a.Rows, mulRowGrain(a.Rows, a.Cols, b.Cols), func(lo, hi int) {
-		for k0 := 0; k0 < a.Cols; k0 += kPanel {
-			k1 := k0 + kPanel
-			if k1 > a.Cols {
-				k1 = a.Cols
-			}
-			for i := lo; i < hi; i++ {
-				ai := a.Row(i)
-				oi := out.Row(i)
-				for k := k0; k < k1; k++ {
-					av := ai[k]
-					if av == 0 {
-						continue
-					}
-					bk := b.Row(k)
-					for j, bv := range bk {
-						oi[j] += av * bv
-					}
-				}
-			}
-		}
-	})
-}
-
-// MulT returns m·bᵀ without materializing the transpose: out(i,j) is the
-// dot product of two contiguous rows, the cache-friendly orientation for
-// Gram/covariance work.
-func (m *Matrix) MulT(b *Matrix) *Matrix {
-	if m.Cols != b.Cols {
-		panic(fmt.Sprintf("mathx: mulT shape mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Rows)
-	parallel.For(m.Rows, rowGrain(2*m.Cols*b.Rows), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mi := m.Row(i)
-			oi := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				oi[j] = Dot(mi, b.Row(j))
-			}
-		}
-	})
-	return out
-}
-
 // Gram returns mᵀ·m, the Cols×Cols Gram matrix (the unscaled covariance
 // of standardized data). It transposes once so every dot product runs
-// over contiguous rows, computes only the upper triangle in parallel and
-// mirrors it — out(i,j) and out(j,i) are the same float64.
+// over contiguous rows, computes only the upper triangle and mirrors it —
+// out(i,j) and out(j,i) are the same float64.
 func (m *Matrix) Gram() *Matrix {
-	var t, out *Matrix
-	return m.GramInto(&t, &out)
-}
-
-// GramInto is Gram with caller-owned scratch: *tScratch holds the
-// transpose and *dst the result, both grown via ReuseMatrix so repeated
-// covariance builds allocate nothing. Every output element is the same
-// dot product in the same order as Gram's.
-func (m *Matrix) GramInto(tScratch, dst **Matrix) *Matrix {
-	t := m.tInto(tScratch)
+	t := m.T()
 	n := t.Rows
-	out := ReuseMatrix(dst, n, n)
-	// Chunk so each covers at least mulChunkFlops of dot-product work:
-	// one chunk per row serializes tiny covariances (63 metrics) into a
-	// single chunk instead of fanning out 63 sub-100µs pieces.
-	grain := n
-	if rowFlops := 2 * m.Rows * n; rowFlops > 0 && n*rowFlops >= mulChunkFlops {
-		grain = (mulChunkFlops + rowFlops - 1) / rowFlops
-	}
-	parallel.For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ti := t.Row(i)
-			oi := out.Row(i)
-			for j := i; j < n; j++ {
-				oi[j] = Dot(ti, t.Row(j))
-			}
+	out := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		ti := t.Row(i)
+		oi := out.Row(i)
+		for j := i; j < n; j++ {
+			oi[j] = Dot(ti, t.Row(j))
 		}
-	})
+	}
 	for i := 1; i < n; i++ {
 		for j := 0; j < i; j++ {
 			out.Set(i, j, out.At(j, i))
@@ -146,48 +26,39 @@ func (m *Matrix) GramInto(tScratch, dst **Matrix) *Matrix {
 // GemvBias computes y[o] = bias[o] + w[o·in:(o+1)·in]·x for o in [0,out) —
 // the dense-layer pre-activation, with w an out×in row-major weight
 // matrix. Each output element accumulates left to right starting from
-// bias[o], matching the serial layer loop bit for bit.
+// bias[o].
 func GemvBias(w []float64, in, out int, x, bias, y []float64) {
-	parallel.For(out, rowGrain(2*in), func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			s := bias[o]
-			row := w[o*in : (o+1)*in]
-			for i, v := range x {
-				s += row[i] * v
-			}
-			y[o] = s
+	for o := 0; o < out; o++ {
+		s := bias[o]
+		row := w[o*in : (o+1)*in]
+		for i, v := range x {
+			s += row[i] * v
 		}
-	})
+		y[o] = s
+	}
 }
 
 // OuterAccum adds the rank-1 update g⊗x into the out×in row-major
-// gradient matrix gw: gw[o·in+i] += g[o]·x[i]. Rows are independent, so
-// the fan-out over rows is bit-identical to the serial loop.
+// gradient matrix gw: gw[o·in+i] += g[o]·x[i].
 func OuterAccum(gw []float64, in, out int, g, x []float64) {
-	parallel.For(out, rowGrain(2*in), func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			gv := g[o]
-			row := gw[o*in : (o+1)*in]
-			for i, v := range x {
-				row[i] += gv * v
-			}
+	for o := 0; o < out; o++ {
+		gv := g[o]
+		row := gw[o*in : (o+1)*in]
+		for i, v := range x {
+			row[i] += gv * v
 		}
-	})
+	}
 }
 
-// GemvTAccum adds wᵀ·g into din: din[i] += Σ_o g[o]·w[o·in+i]. Work is
-// chunked over columns; within a chunk the o loop stays outermost and
-// ascending, so every din[i] accumulates in exactly the serial order for
-// any worker count.
+// GemvTAccum adds wᵀ·g into din: din[i] += Σ_o g[o]·w[o·in+i], with the
+// o loop outermost and ascending, so every din[i] accumulates in output
+// order.
 func GemvTAccum(w []float64, in, out int, g, din []float64) {
-	parallel.For(in, rowGrain(2*out), func(lo, hi int) {
-		for o := 0; o < out; o++ {
-			gv := g[o]
-			row := w[o*in+lo : o*in+hi]
-			dd := din[lo:hi]
-			for i, v := range row {
-				dd[i] += gv * v
-			}
+	for o := 0; o < out; o++ {
+		gv := g[o]
+		row := w[o*in : (o+1)*in]
+		for i, v := range row {
+			din[i] += gv * v
 		}
-	})
+	}
 }

@@ -10,29 +10,6 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMatrixMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("mul[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMatrixMulShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch should panic")
-		}
-	}()
-	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
-}
-
 func TestTranspose(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.T()
@@ -92,7 +69,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range m.Data {
 			m.Data[i] = rng.Gaussian(0, 1)
 		}
-		a := m.T().Mul(m)
+		a := m.Gram()
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+1)
 		}

@@ -1,21 +1,15 @@
 // Package mathx implements the small dense linear-algebra kernel the
 // machine-learning substrates (PCA, Gaussian processes, neural networks)
-// are built on. Matrices are row-major float64. The hot kernels — Mul,
-// MulVec, MulT/Gram and the flat GEMV/outer-product helpers behind the
-// neural-network layers — are cache-blocked (ikj loop order with B kept
-// in L2-sized row panels) and fan out over internal/parallel once the
-// operand exceeds a fixed work cutoff (see kernels.go); below the cutoff
-// they fall back to the plain serial loops, so tiny operands never pay
-// goroutine overhead. Chunk boundaries and accumulation order depend only
-// on operand shapes — never on the worker count — so every result is
-// bit-identical for any GOMAXPROCS.
+// are built on. Matrices are row-major float64. Every kernel is a plain
+// loop on the calling goroutine with a fixed accumulation order per
+// output element, so every result is the same float64 for any
+// GOMAXPROCS. Parallelism lives above this layer, in the coarse fan-outs
+// over sessions, tenants and random-forest trees.
 package mathx
 
 import (
 	"fmt"
 	"math"
-
-	"github.com/hunter-cdb/hunter/internal/parallel"
 )
 
 // Matrix is a dense row-major matrix.
@@ -47,41 +41,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// ReuseMatrix resizes *p to rows×cols, reusing its backing array when it
-// is large enough and allocating otherwise; contents are unspecified. It
-// is the growth primitive behind the workspace types that let the ML hot
-// paths (PCA fits, DDPG minibatches) run allocation-free in steady state.
-func ReuseMatrix(p **Matrix, rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mathx: invalid dimensions %dx%d", rows, cols))
-	}
-	m := *p
-	if m == nil || cap(m.Data) < rows*cols {
-		m = NewMatrix(rows, cols)
-		*p = m
-		return m
-	}
-	m.Rows, m.Cols = rows, cols
-	m.Data = m.Data[:rows*cols]
-	return m
-}
-
-// FromRowsInto copies the row slices into *p (grown via ReuseMatrix), the
-// allocation-free counterpart of FromRows.
-func FromRowsInto(p **Matrix, rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return ReuseMatrix(p, 0, 0)
-	}
-	m := ReuseMatrix(p, len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mathx: ragged row %d: %d != %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -100,13 +59,7 @@ func (m *Matrix) Clone() *Matrix {
 
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
-	var t *Matrix
-	return m.tInto(&t)
-}
-
-// tInto writes the transpose into *p, reusing its storage when possible.
-func (m *Matrix) tInto(p **Matrix) *Matrix {
-	t := ReuseMatrix(p, m.Cols, m.Rows)
+	t := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			t.Set(j, i, m.At(i, j))
@@ -115,28 +68,15 @@ func (m *Matrix) tInto(p **Matrix) *Matrix {
 	return t
 }
 
-// Mul returns m·b using the blocked, parallel kernel in kernels.go.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mathx: mul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	mulInto(m, b, out)
-	return out
-}
-
-// MulVec returns m·v for a column vector v, fanning out over row chunks
-// above the work cutoff (each row is an independent dot product).
+// MulVec returns m·v for a column vector v.
 func (m *Matrix) MulVec(v []float64) []float64 {
 	if m.Cols != len(v) {
 		panic(fmt.Sprintf("mathx: mulvec shape mismatch %dx%d · %d", m.Rows, m.Cols, len(v)))
 	}
 	out := make([]float64, m.Rows)
-	parallel.For(m.Rows, rowGrain(2*m.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Dot(m.Row(i), v)
-		}
-	})
+	for i := range out {
+		out[i] = Dot(m.Row(i), v)
+	}
 	return out
 }
 

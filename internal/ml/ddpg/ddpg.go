@@ -25,10 +25,9 @@ type Transition struct {
 
 // Replay is a bounded FIFO experience buffer with uniform sampling.
 type Replay struct {
-	buf  []Transition
-	cap  int // logical bound; buf grows by append until it holds cap
-	pos  int
-	full bool
+	buf []Transition
+	cap int // logical bound; buf grows by append until it holds cap
+	pos int
 }
 
 // NewReplay creates a buffer holding up to capacity transitions. Storage
@@ -47,7 +46,6 @@ func (r *Replay) Add(t Transition) {
 		r.buf = append(r.buf, t)
 		return
 	}
-	r.full = true
 	r.buf[r.pos] = t
 	r.pos = (r.pos + 1) % r.cap
 }
@@ -234,8 +232,7 @@ func (a *Agent) Observe(t Transition) {
 // networks lands in ascending batch-row order per element — the exact
 // order of the per-transition loop it replaces. The resulting weights are
 // therefore bit-identical to the former per-sample implementation, for
-// any worker count. The minibatch passes of a warm step allocate nothing;
-// what remains is the closure headers of the Adam and soft-update loops.
+// any worker count. A warm step allocates nothing.
 func (a *Agent) TrainStep() float64 {
 	if a.replay.Len() < a.cfg.BatchSize {
 		return 0
@@ -365,21 +362,30 @@ func (a *Agent) Snapshot() Snapshot {
 }
 
 // Restore loads a snapshot taken from an agent of identical architecture.
+// It checks the dimensions and the length of all four weight vectors
+// before copying anything, so it either loads the whole snapshot or
+// returns an error and leaves the agent unchanged.
 func (a *Agent) Restore(s Snapshot) error {
 	if s.StateDim != a.cfg.StateDim || s.ActionDim != a.cfg.ActionDim {
 		return fmt.Errorf("ddpg: snapshot dims (%d,%d) != agent (%d,%d)",
 			s.StateDim, s.ActionDim, a.cfg.StateDim, a.cfg.ActionDim)
 	}
-	if err := a.actor.SetWeights(s.Actor); err != nil {
-		return err
+	nets := []struct {
+		name string
+		net  *nn.MLP
+		w    []float64
+	}{{"actor", a.actor, s.Actor}, {"critic", a.critic, s.Critic}, {"target actor", a.actorT, s.ActorT}, {"target critic", a.criticT, s.CriticT}}
+	for _, n := range nets {
+		if len(n.w) != n.net.NumWeights() {
+			return fmt.Errorf("ddpg: snapshot %s holds %d weights, agent needs %d", n.name, len(n.w), n.net.NumWeights())
+		}
 	}
-	if err := a.critic.SetWeights(s.Critic); err != nil {
-		return err
+	for _, n := range nets {
+		if err := n.net.SetWeights(n.w); err != nil {
+			return err
+		}
 	}
-	if err := a.actorT.SetWeights(s.ActorT); err != nil {
-		return err
-	}
-	return a.criticT.SetWeights(s.CriticT)
+	return nil
 }
 
 // HERRelabel implements the hindsight-experience-replay warm-up baseline

@@ -2,6 +2,7 @@ package ddpg
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +168,35 @@ func TestSnapshotRestore(t *testing.T) {
 	c, _ := New(Config{StateDim: 4, ActionDim: 2, Seed: 1})
 	if err := c.Restore(snap); err == nil {
 		t.Fatal("dimension mismatch should fail")
+	}
+}
+
+// TestRestoreAllOrNothing gives Restore a donor snapshot with one of its
+// four weight vectors one weight short or one long. Each must be refused
+// with the agent exactly as it was: snapshots reach Restore from registry
+// files and fleet checkpoints, and a half-loaded agent would train the
+// donor's actor against its own critic.
+func TestRestoreAllOrNothing(t *testing.T) {
+	donor, _ := New(Config{StateDim: 3, ActionDim: 2, Seed: 5})
+	for _, vec := range []string{"actor", "critic", "target actor", "target critic"} {
+		for _, delta := range []int{-1, 1} {
+			snap := donor.Snapshot()
+			w := map[string]*[]float64{"actor": &snap.Actor, "critic": &snap.Critic,
+				"target actor": &snap.ActorT, "target critic": &snap.CriticT}[vec]
+			if delta < 0 {
+				*w = (*w)[:len(*w)-1]
+			} else {
+				*w = append(*w, 0.5)
+			}
+			a, _ := New(Config{StateDim: 3, ActionDim: 2, Seed: 99})
+			before := a.Snapshot()
+			if err := a.Restore(snap); err == nil {
+				t.Errorf("%s %+d weight: snapshot accepted", vec, delta)
+			}
+			if !reflect.DeepEqual(a.Snapshot(), before) {
+				t.Errorf("%s %+d weight: failed restore changed the agent", vec, delta)
+			}
+		}
 	}
 }
 

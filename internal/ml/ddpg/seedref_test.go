@@ -131,17 +131,17 @@ func TestTrainStepMatchesSeedImplementation(t *testing.T) {
 }
 
 // TestTrainStepAllocs guards the batched update's allocation budget: with
-// a warm workspace the minibatch kernels run inline and allocate nothing,
-// so the only allocations left in a training step are the closure headers
-// the Adam and soft-update loops pass to parallel.For (a few dozen bytes
-// each) — every transition slice, activation vector and gradient buffer of
-// the per-transition implementation (~1800 allocations per step) is gone.
+// a warm workspace every kernel, the Adam update and the soft target
+// update run inline on preallocated buffers, so a training step allocates
+// nothing — every transition slice, activation vector and gradient buffer
+// of the per-transition implementation (~1800 allocations per step) is
+// gone.
 func TestTrainStepAllocs(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 	a := newTestAgent(t, 5)
 	a.TrainStep() // size the workspaces
 	allocs := testing.AllocsPerRun(10, func() { a.TrainStep() })
-	if allocs > 18 {
-		t.Errorf("TrainStep warm = %v allocs, want <= 18 (per-transition implementation: ~1800)", allocs)
+	if allocs > 0 {
+		t.Errorf("TrainStep warm = %v allocs, want 0 (per-transition implementation: ~1800)", allocs)
 	}
 }

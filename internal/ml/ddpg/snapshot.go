@@ -17,31 +17,29 @@ import (
 // ActNoisy consume, so a restored agent's future updates are
 // bit-identical to the original's.
 type agentState struct {
-	Cfg        Config
-	Actor      nn.State
-	Critic     nn.State
-	ActorT     nn.State
-	CriticT    nn.State
-	ReplayBuf  []Transition
-	ReplayPos  int
-	ReplayFull bool
-	RNG        sim.RNGState
-	Steps      int
+	Cfg       Config
+	Actor     nn.State
+	Critic    nn.State
+	ActorT    nn.State
+	CriticT   nn.State
+	ReplayBuf []Transition
+	ReplayPos int
+	RNG       sim.RNGState
+	Steps     int
 }
 
 // SnapshotTo serializes the agent (checkpoint.Snapshotter).
 func (a *Agent) SnapshotTo(w io.Writer) error {
 	st := agentState{
-		Cfg:        a.cfg,
-		Actor:      a.actor.State(),
-		Critic:     a.critic.State(),
-		ActorT:     a.actorT.State(),
-		CriticT:    a.criticT.State(),
-		ReplayBuf:  a.replay.buf,
-		ReplayPos:  a.replay.pos,
-		ReplayFull: a.replay.full,
-		RNG:        a.rng.State(),
-		Steps:      a.steps,
+		Cfg:       a.cfg,
+		Actor:     a.actor.State(),
+		Critic:    a.critic.State(),
+		ActorT:    a.actorT.State(),
+		CriticT:   a.criticT.State(),
+		ReplayBuf: a.replay.buf,
+		ReplayPos: a.replay.pos,
+		RNG:       a.rng.State(),
+		Steps:     a.steps,
 	}
 	return gob.NewEncoder(w).Encode(st)
 }
@@ -88,7 +86,6 @@ func (a *Agent) RestoreFrom(r io.Reader) error {
 	}
 	fresh.replay.buf = append(fresh.replay.buf[:0], st.ReplayBuf...)
 	fresh.replay.pos = st.ReplayPos
-	fresh.replay.full = st.ReplayFull
 	if err := fresh.rng.SetState(st.RNG); err != nil {
 		return err
 	}

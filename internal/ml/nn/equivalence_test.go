@@ -8,8 +8,8 @@ import (
 	"github.com/hunter-cdb/hunter/internal/sim"
 )
 
-// trainWide fits a wide MLP (layers large enough to cross the mathx
-// kernel fan-out cutoff) for a few epochs and returns the weights.
+// trainWide fits a wide MLP (a 130×257 first layer, over 32k weights)
+// for a few epochs and returns the weights.
 func trainWide(t *testing.T, workers int) []float64 {
 	t.Helper()
 	defer parallel.SetWorkers(parallel.SetWorkers(workers))
@@ -34,8 +34,9 @@ func trainWide(t *testing.T, workers int) []float64 {
 }
 
 // TestTrainingEquivalentAcrossWorkers proves forward, backward and Adam
-// through the parallel mathx kernels produce bit-identical weights for 1
-// worker and for many workers.
+// produce bit-identical weights for 1 worker and for many workers. The
+// kernels run inline, so this guards against a fan-out returning with a
+// different accumulation order.
 func TestTrainingEquivalentAcrossWorkers(t *testing.T) {
 	serial := trainWide(t, 1)
 	for _, w := range []int{2, 8} {

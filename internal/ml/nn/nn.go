@@ -9,14 +9,8 @@ import (
 	"math"
 
 	"github.com/hunter-cdb/hunter/internal/mathx"
-	"github.com/hunter-cdb/hunter/internal/parallel"
 	"github.com/hunter-cdb/hunter/internal/sim"
 )
-
-// elemGrain is the chunk size for the element-wise parameter updates
-// (Adam, soft target updates). The 64×64 layers this repo trains sit
-// below one chunk and stay serial; wider layers fan out.
-const elemGrain = 1 << 13
 
 // Activation selects a layer's non-linearity.
 type Activation int
@@ -186,8 +180,8 @@ func (m *MLP) Forward(x []float64) []float64 {
 	cur := x
 	for _, ly := range m.layers {
 		ly.x = cur
-		// Pre-activation via the shared GEMV kernel (cache-blocked and
-		// parallel above the mathx cutoff), then the non-linearity.
+		// Pre-activation via the shared GEMV kernel, then the
+		// non-linearity.
 		mathx.GemvBias(ly.w, ly.in, ly.out, cur, ly.b, ly.y)
 		for o, s := range ly.y {
 			ly.y[o] = ly.act.apply(s)
@@ -276,19 +270,16 @@ func (m *MLP) Step(lr float64, batch int, maxNorm float64) {
 	}
 }
 
-// adam is element-wise, so chunks are independent and the fan-out (for
-// layers above elemGrain parameters) is bit-identical to the serial loop.
+// adam applies one element-wise Adam update to the parameters w.
 func adam(w, g, mm, vv []float64, lr, inv, b1c, b2c float64) {
-	parallel.For(len(w), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gi := g[i] * inv
-			mm[i] = 0.9*mm[i] + 0.1*gi
-			vv[i] = 0.999*vv[i] + 0.001*gi*gi
-			mhat := mm[i] / b1c
-			vhat := vv[i] / b2c
-			w[i] -= lr * mhat / (math.Sqrt(vhat) + 1e-8)
-		}
-	})
+	for i := range w {
+		gi := g[i] * inv
+		mm[i] = 0.9*mm[i] + 0.1*gi
+		vv[i] = 0.999*vv[i] + 0.001*gi*gi
+		mhat := mm[i] / b1c
+		vhat := vv[i] / b2c
+		w[i] -= lr * mhat / (math.Sqrt(vhat) + 1e-8)
+	}
 }
 
 // Weights exports all parameters as a flat slice (for snapshots and the
@@ -302,13 +293,18 @@ func (m *MLP) Weights() []float64 {
 	return out
 }
 
+// NumWeights returns the length of the slice Weights exports.
+func (m *MLP) NumWeights() int {
+	n := 0
+	for _, ly := range m.layers {
+		n += len(ly.w) + len(ly.b)
+	}
+	return n
+}
+
 // SetWeights restores parameters exported by Weights.
 func (m *MLP) SetWeights(w []float64) error {
-	need := 0
-	for _, ly := range m.layers {
-		need += len(ly.w) + len(ly.b)
-	}
-	if len(w) != need {
+	if need := m.NumWeights(); len(w) != need {
 		return fmt.Errorf("nn: weight count %d != %d", len(w), need)
 	}
 	off := 0
@@ -345,11 +341,9 @@ func (m *MLP) Clone() *MLP {
 func (m *MLP) SoftUpdate(target *MLP, tau float64) {
 	for l, ly := range m.layers {
 		tl := target.layers[l]
-		parallel.For(len(ly.w), elemGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tl.w[i] = tau*ly.w[i] + (1-tau)*tl.w[i]
-			}
-		})
+		for i := range ly.w {
+			tl.w[i] = tau*ly.w[i] + (1-tau)*tl.w[i]
+		}
 		for i := range ly.b {
 			tl.b[i] = tau*ly.b[i] + (1-tau)*tl.b[i]
 		}

@@ -32,28 +32,3 @@ func benchFit(b *testing.B, workers int) {
 
 func BenchmarkPCAFit(b *testing.B)       { benchFit(b, 0) }
 func BenchmarkPCAFitSerial(b *testing.B) { benchFit(b, 1) }
-
-// BenchmarkPCAFitWS measures the steady-state fit the optimizer phases
-// actually run: a reused workspace, so only the returned model allocates.
-func BenchmarkPCAFitWS(b *testing.B) {
-	rng := sim.NewRNG(1)
-	rows := make([][]float64, 500)
-	for i := range rows {
-		rows[i] = make([]float64, 63)
-		for j := range rows[i] {
-			base := rng.Gaussian(0, 1)
-			rows[i][j] = base*float64(j%9+1) + rng.Gaussian(0, 0.5)
-		}
-	}
-	ws := &Workspace{}
-	if _, err := FitWS(ws, rows, 0.90, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitWS(ws, rows, 0.90, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

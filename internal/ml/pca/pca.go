@@ -21,51 +21,30 @@ type Model struct {
 	outDim     int
 }
 
-// Workspace holds the fit's intermediate buffers — the standardized
-// observation matrix, its transpose and covariance, and the Jacobi
-// eigensolver scratch — so repeated fits of same-shaped data allocate
-// only the returned Model. A zero Workspace is ready to use; it is not
-// safe for concurrent fits.
-type Workspace struct {
-	x, xt, cov *mathx.Matrix
-	eig        mathx.EigenWorkspace
-}
-
 // Fit computes a PCA over the rows of X (one observation per row),
 // standardizing columns first (metric magnitudes differ by orders of
 // magnitude) and keeping the smallest number of components whose
 // cumulative variance fraction reaches varTarget (e.g. 0.90). A maxDim of
 // 0 means unbounded.
 func Fit(rows [][]float64, varTarget float64, maxDim int) (*Model, error) {
-	return FitWS(nil, rows, varTarget, maxDim)
-}
-
-// FitWS is Fit with caller-owned scratch: a nil workspace allocates
-// freshly, a non-nil one is reused across fits. The arithmetic — and
-// therefore every bit of the returned model — is identical either way.
-func FitWS(ws *Workspace, rows [][]float64, varTarget float64, maxDim int) (*Model, error) {
 	if len(rows) < 2 {
 		return nil, fmt.Errorf("pca: need at least 2 observations, got %d", len(rows))
 	}
 	if varTarget <= 0 || varTarget > 1 {
 		return nil, fmt.Errorf("pca: variance target %g outside (0,1]", varTarget)
 	}
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	x := mathx.FromRowsInto(&ws.x, rows)
+	x := mathx.FromRows(rows)
 	means, stds := mathx.Standardize(x)
 	n, u := x.Rows, x.Cols
 
 	// Covariance = XᵀX / (n-1) over standardized data. Gram computes the
 	// symmetric product directly (upper triangle only, contiguous-row dot
-	// products, parallel over rows above the mathx work cutoff) instead of
-	// a full transpose-then-multiply.
-	cov := x.GramInto(&ws.xt, &ws.cov)
+	// products) instead of a full transpose-then-multiply.
+	cov := x.Gram()
 	for i := range cov.Data {
 		cov.Data[i] /= float64(n - 1)
 	}
-	eig, err := mathx.SymEigenWS(&ws.eig, cov)
+	eig, err := mathx.SymEigen(cov)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +78,7 @@ func FitWS(ws *Workspace, rows [][]float64, varTarget float64, maxDim int) (*Mod
 		means:      means,
 		stds:       stds,
 		components: comp,
-		variances:  append([]float64(nil), eig.Values...), // eig may alias ws
+		variances:  eig.Values,
 		inDim:      u,
 		outDim:     keep,
 	}, nil

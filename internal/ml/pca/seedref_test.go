@@ -12,12 +12,10 @@ import (
 	"github.com/hunter-cdb/hunter/internal/sim"
 )
 
-// This file pins the workspace-based fit to the pre-workspace
-// implementation: seedFit below ports the original pipeline — fresh
-// matrices everywhere, the copy-a-column Standardize, transpose + upper
-// triangle Gram, the closure-based Jacobi — and the tests require
-// FitWS (fresh or reused workspace, any worker count) to reproduce its
-// models bit for bit.
+// This file pins the fit to the seed implementation: seedFit below ports
+// the original pipeline — the copy-a-column Standardize, transpose +
+// upper triangle Gram, the closure-based Jacobi — and the tests require
+// Fit (at any worker count) to reproduce its models bit for bit.
 
 func seedFit(rows [][]float64, varTarget float64, maxDim int) *Model {
 	x := mathx.FromRows(rows)
@@ -166,63 +164,56 @@ func metricRows(rng *sim.RNG, n, dim int) [][]float64 {
 	return rows
 }
 
-// TestFitMatchesSeedImplementation requires the workspace fit — fresh
-// workspace, reused workspace, 1 worker, 8 workers — to emit exactly the
-// model the pre-workspace pipeline emitted.
+// TestFitMatchesSeedImplementation requires Fit, at 1 worker and at 8
+// workers, to emit exactly the model the seed pipeline emitted.
 func TestFitMatchesSeedImplementation(t *testing.T) {
 	for _, shape := range []struct{ n, dim int }{{40, 12}, {120, 30}} {
 		rng := sim.NewRNG(int64(shape.n))
 		rows := metricRows(rng, shape.n, shape.dim)
 		want := seedFit(rows, 0.9, 0)
-		ws := &Workspace{}
 		for _, w := range []int{1, 8} {
-			for pass := 0; pass < 2; pass++ { // cold then reused workspace
-				prev := parallel.SetWorkers(w)
-				got, err := FitWS(ws, rows, 0.9, 0)
-				parallel.SetWorkers(prev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want.means, got.means) || !reflect.DeepEqual(want.stds, got.stds) {
-					t.Fatalf("%d×%d workers %d pass %d: standardization differs", shape.n, shape.dim, w, pass)
-				}
-				if !reflect.DeepEqual(want.variances, got.variances) {
-					t.Fatalf("%d×%d workers %d pass %d: eigenvalues differ", shape.n, shape.dim, w, pass)
-				}
-				if !reflect.DeepEqual(want.components.Data, got.components.Data) {
-					t.Fatalf("%d×%d workers %d pass %d: components differ", shape.n, shape.dim, w, pass)
-				}
-				var wantBuf, gotBuf bytes.Buffer
-				if err := want.SnapshotTo(&wantBuf); err != nil {
-					t.Fatal(err)
-				}
-				if err := got.SnapshotTo(&gotBuf); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-					t.Fatalf("%d×%d workers %d pass %d: snapshot bytes differ", shape.n, shape.dim, w, pass)
-				}
+			prev := parallel.SetWorkers(w)
+			got, err := Fit(rows, 0.9, 0)
+			parallel.SetWorkers(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.means, got.means) || !reflect.DeepEqual(want.stds, got.stds) {
+				t.Fatalf("%d×%d workers %d: standardization differs", shape.n, shape.dim, w)
+			}
+			if !reflect.DeepEqual(want.variances, got.variances) {
+				t.Fatalf("%d×%d workers %d: eigenvalues differ", shape.n, shape.dim, w)
+			}
+			if !reflect.DeepEqual(want.components.Data, got.components.Data) {
+				t.Fatalf("%d×%d workers %d: components differ", shape.n, shape.dim, w)
+			}
+			var wantBuf, gotBuf bytes.Buffer
+			if err := want.SnapshotTo(&wantBuf); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.SnapshotTo(&gotBuf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
+				t.Fatalf("%d×%d workers %d: snapshot bytes differ", shape.n, shape.dim, w)
 			}
 		}
 	}
 }
 
-// TestFitWSAllocs guards the workspace fit's allocation budget: with a
-// warm workspace a fit allocates only the returned model (the seed
-// implementation paid ~41k allocations, mostly Jacobi rotation closures).
-func TestFitWSAllocs(t *testing.T) {
+// TestFitAllocs guards the fit's allocation budget: the observation
+// matrix, its transpose, the covariance, the eigensolver's working
+// matrices and the returned model, a couple of dozen allocations in all
+// (the seed implementation paid ~41k, mostly Jacobi rotation closures).
+func TestFitAllocs(t *testing.T) {
 	rng := sim.NewRNG(8)
 	rows := metricRows(rng, 120, 30)
-	ws := &Workspace{}
-	if _, err := FitWS(ws, rows, 0.9, 0); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := FitWS(ws, rows, 0.9, 0); err != nil {
+		if _, err := Fit(rows, 0.9, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 16 {
-		t.Errorf("FitWS warm = %v allocs, want <= 16 (seed implementation: ~41k)", allocs)
+	if allocs > 22 {
+		t.Errorf("Fit = %v allocs, want <= 22 (seed implementation: ~41k)", allocs)
 	}
 }

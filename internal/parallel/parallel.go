@@ -1,20 +1,20 @@
-// Package parallel is the deterministic fork–join layer the ML substrate
-// (random forest, PCA, GA, NN/DDPG) and the mathx kernels run on.
+// Package parallel is the deterministic fork–join layer under the coarse
+// fan-outs: random-forest trees, experiment sessions, hunter-repro's
+// experiment overlap and the fleet's tenant rounds.
 //
 // Determinism is the design constraint: a tuning run must produce
-// bit-identical forests, eigenvectors, populations and network weights for
-// a given seed no matter how many workers execute it. Two rules enforce
-// that:
+// bit-identical forests, reports and fleets for a given seed no matter
+// how many workers execute it. Two rules enforce that:
 //
 //  1. Work is split into fixed chunks whose boundaries depend only on the
 //     problem size and the grain — never on the worker count or on
 //     goroutine scheduling. Workers pull chunk indices from a shared
 //     counter, so *which* worker runs a chunk varies, but *what* each
 //     chunk computes does not.
-//  2. Reductions never happen on worker goroutines. ReduceOrdered stores
-//     one partial result per chunk and folds them on the calling
-//     goroutine in ascending chunk order, so floating-point reduction
-//     order is fixed.
+//  2. Reductions never happen on worker goroutines. Each chunk writes its
+//     result to its own slot, and the caller folds the slots on its own
+//     goroutine in index order, so floating-point reduction order is
+//     fixed.
 //
 // Callers that need randomness inside parallel work must pre-seed one RNG
 // per task (sim.RNG.Fork in task order) before fanning out; an RNG stream
@@ -114,19 +114,6 @@ func (s StatsSnapshot) IdleSeconds() float64 {
 	return idle
 }
 
-// Chunks returns how many fixed-size chunks For splits n items into at
-// the given grain. The count depends only on n and grain — not on the
-// worker setting — which is what keeps chunked reductions deterministic.
-func Chunks(n, grain int) int {
-	if n <= 0 {
-		return 0
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	return (n + grain - 1) / grain
-}
-
 // For runs fn over [0, n) split into contiguous chunks of at most grain
 // items. fn is called once per chunk with a half-open index range; chunks
 // never overlap, so fn may write to per-index state without locking. With
@@ -190,29 +177,4 @@ func For(n, grain int, fn func(lo, hi int)) {
 	work() // the calling goroutine is worker 0
 	wg.Wait()
 	statSpanNs.Add(int64(time.Since(fanoutStart)) * int64(w))
-}
-
-// ReduceOrdered maps chunks of [0, n) in parallel and folds the partial
-// results on the calling goroutine in ascending chunk order: mapChunk
-// runs concurrently (one call per chunk), fold runs serially. Because
-// chunk boundaries are fixed by n and grain alone, the reduction
-// association — and therefore every floating-point bit of the result —
-// is identical for any worker count.
-func ReduceOrdered[T any](n, grain int, mapChunk func(lo, hi int) T, fold func(acc, part T) T, init T) T {
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := Chunks(n, grain)
-	if chunks == 0 {
-		return init
-	}
-	parts := make([]T, chunks)
-	For(n, grain, func(lo, hi int) {
-		parts[lo/grain] = mapChunk(lo, hi)
-	})
-	acc := init
-	for _, p := range parts {
-		acc = fold(acc, p)
-	}
-	return acc
 }

@@ -3,8 +3,6 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-
-	"github.com/hunter-cdb/hunter/internal/sim"
 )
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -26,21 +24,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 				t.Fatalf("n=%d grain=%d: index %d visited %d times", tc.n, tc.grain, i, h)
 			}
 		}
-	}
-}
-
-func TestChunksIndependentOfWorkers(t *testing.T) {
-	for _, w := range []int{1, 2, 5, 16} {
-		defer SetWorkers(SetWorkers(w))
-		if got := Chunks(100, 7); got != 15 {
-			t.Fatalf("workers=%d: Chunks(100,7) = %d, want 15", w, got)
-		}
-	}
-	if Chunks(0, 4) != 0 || Chunks(-1, 4) != 0 {
-		t.Fatal("empty ranges must have zero chunks")
-	}
-	if Chunks(5, 0) != 5 {
-		t.Fatal("grain < 1 must behave like grain 1")
 	}
 }
 
@@ -104,42 +87,6 @@ func TestFanOutReportsWorkerCount(t *testing.T) {
 	For(6, 3, func(lo, hi int) {})
 	if reported.Load() != 2 {
 		t.Fatalf("observer saw %d workers, want 2 (chunk-capped)", reported.Load())
-	}
-}
-
-// TestReduceOrderedBitIdentical sums a float series whose reduction order
-// matters and asserts the result is bit-identical across worker counts.
-func TestReduceOrderedBitIdentical(t *testing.T) {
-	rng := sim.NewRNG(42)
-	xs := make([]float64, 10_000)
-	for i := range xs {
-		xs[i] = rng.Gaussian(0, 1) * 1e10 // wide magnitude: association-sensitive
-	}
-	sum := func(workers int) float64 {
-		defer SetWorkers(SetWorkers(workers))
-		return ReduceOrdered(len(xs), 128,
-			func(lo, hi int) float64 {
-				var s float64
-				for i := lo; i < hi; i++ {
-					s += xs[i]
-				}
-				return s
-			},
-			func(acc, p float64) float64 { return acc + p }, 0)
-	}
-	ref := sum(1)
-	for _, w := range []int{2, 3, 8, 32} {
-		if got := sum(w); got != ref {
-			t.Fatalf("workers=%d: sum %v != %v (1 worker)", w, got, ref)
-		}
-	}
-}
-
-func TestReduceOrderedEmpty(t *testing.T) {
-	got := ReduceOrdered(0, 4, func(lo, hi int) int { return 1 },
-		func(a, b int) int { return a + b }, -7)
-	if got != -7 {
-		t.Fatalf("empty reduce = %d, want init", got)
 	}
 }
 

@@ -36,14 +36,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.PCAVariance != 0.90 {
 		t.Errorf("PCA variance %v, want 0.90", o.PCAVariance)
 	}
-	if her := (Options{Warmup: WarmupHER}).withDefaults(); !her.DisableGA {
+	if her := (Options{HERWarmup: true}).withDefaults(); !her.DisableGA {
 		t.Error("HER warm-up must disable the GA sample factory")
-	}
-}
-
-func TestWarmupMethodString(t *testing.T) {
-	if WarmupGA.String() != "GA" || WarmupHER.String() != "HER" || WarmupNone.String() != "none" {
-		t.Fatal("warmup names wrong")
 	}
 }
 
@@ -85,7 +79,7 @@ func TestAblationCombinationsRun(t *testing.T) {
 		{DisablePCA: true, DisableFES: true},
 		{DisablePCA: true, DisableRF: true},
 		{},
-		{Warmup: WarmupHER},
+		{HERWarmup: true},
 	}
 	for i, o := range combos {
 		// Phase 1 alone needs ~7 h (140 valid samples); the budget must

@@ -10,36 +10,9 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/hunter-cdb/hunter/internal/tuner"
 )
-
-// WarmupMethod selects how the Recommender's DRL model is warm-started
-// (Table 6 compares GA+ against HER).
-type WarmupMethod int
-
-const (
-	// WarmupGA uses the Sample Factory's GA samples (HUNTER's design).
-	WarmupGA WarmupMethod = iota
-	// WarmupHER replaces GA with random sampling plus hindsight
-	// experience replay relabeling.
-	WarmupHER
-	// WarmupNone starts DDPG cold (the CDBTune-equivalent ablation row).
-	WarmupNone
-)
-
-func (w WarmupMethod) String() string {
-	switch w {
-	case WarmupGA:
-		return "GA"
-	case WarmupHER:
-		return "HER"
-	case WarmupNone:
-		return "none"
-	}
-	return fmt.Sprintf("WarmupMethod(%d)", int(w))
-}
 
 // Options toggle HUNTER's modules — the rows of the ablation Tables 3–5.
 // The zero value is full HUNTER.
@@ -52,9 +25,10 @@ type Options struct {
 	DisableRF bool
 	// DisableFES uses plain Gaussian-noise exploration.
 	DisableFES bool
-	// Warmup selects the DRL warm-up method (Table 6). WarmupHER implies
-	// DisableGA for sample generation.
-	Warmup WarmupMethod
+	// HERWarmup warm-starts the DRL model from random samples relabeled
+	// by hindsight experience replay instead of GA samples (Table 6). It
+	// implies DisableGA for sample generation.
+	HERWarmup bool
 
 	// SampleTarget is the Shared Pool size the first phase aims for
 	// (paper: 140, Figure 6).
@@ -91,7 +65,7 @@ func (o Options) withDefaults() Options {
 	if o.PCAVariance == 0 {
 		o.PCAVariance = 0.90
 	}
-	if o.Warmup == WarmupHER {
+	if o.HERWarmup {
 		o.DisableGA = true
 	}
 	return o
@@ -176,10 +150,7 @@ func (h *Hunter) run(s *tuner.Session, st *algoState) error {
 		}
 		m.phase, m.factory = phaseFactory, factory
 		if err := factory.Run(m); err != nil {
-			if errors.Is(err, tuner.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
+			return tuner.Done(err)
 		}
 		m.factory = nil
 	}
@@ -226,6 +197,9 @@ func (h *Hunter) run(s *tuner.Session, st *algoState) error {
 				if donor, ok := h.opts.Registry.Match(h.signature(s), opt.Space().Names(), opt.StateDim()); ok {
 					if err := rec.Restore(donor.Snap); err == nil {
 						h.diag.Reused = true
+					} else {
+						// The run goes on cold; the trace records why.
+						s.Trace.Event("reuse_restore_failed")
 					}
 				}
 			}
@@ -235,15 +209,13 @@ func (h *Hunter) run(s *tuner.Session, st *algoState) error {
 		m.opt, m.rec = opt, rec
 
 		err = rec.Run(m)
-		switch {
-		case errors.Is(err, errStalled):
+		if errors.Is(err, errStalled) {
 			continue
-		case err == nil || errors.Is(err, tuner.ErrBudgetExhausted):
-			// Budget spent.
-		default:
+		}
+		if err = tuner.Done(err); err != nil {
 			return err
 		}
-		break
+		break // budget spent
 	}
 	if h.opts.Registry != nil && rec != nil && opt != nil {
 		sig := h.signature(s)

@@ -113,7 +113,7 @@ func (r *recommender) warmStart() {
 			r.st.BestAction = action
 		}
 	}
-	if r.opts.Warmup == WarmupHER {
+	if r.opts.HERWarmup {
 		episode = append(episode, ddpg.HERRelabel(episode)...)
 	}
 	for _, t := range episode {

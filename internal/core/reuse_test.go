@@ -7,8 +7,13 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/hunter-cdb/hunter/internal/metrics"
 	"github.com/hunter-cdb/hunter/internal/ml/ddpg"
+	"github.com/hunter-cdb/hunter/internal/telemetry"
+	"github.com/hunter-cdb/hunter/internal/tuner"
+	"github.com/hunter-cdb/hunter/internal/workload"
 )
 
 func testSnapshot(stateDim, actionDim int, fill float64) ddpg.Snapshot {
@@ -28,6 +33,34 @@ func testModel(sig, tag string, fitness float64, knobs []string, dim int) Model 
 		Signature: sig, Tag: tag, KnobNames: knobs, StateDim: dim,
 		Fitness: fitness, Snap: testSnapshot(dim, len(knobs), fitness),
 	}
+}
+
+// TestUnrestorableDonorTraced: a matched donor that does not restore (its
+// weights do not fit the Recommender's networks) leaves the run cold,
+// and the trace records the refusal.
+func TestUnrestorableDonorTraced(t *testing.T) {
+	rec := telemetry.New()
+	s, err := tuner.NewSession(tuner.Request{Workload: workload.TPCC(), Budget: 3 * time.Hour, Seed: 4, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg := NewReuseRegistry()
+	reg.Commit(testModel(s.Req.Workload.Name, "corrupt", 1, s.Space.Names(), metrics.Count))
+	h := New(Options{DisablePCA: true, DisableRF: true, SampleTarget: 10, Registry: reg})
+	if err := h.Tune(s); err != nil {
+		t.Fatal(err)
+	}
+	if h.Reused() {
+		t.Fatal("run reports reuse of a donor that cannot restore")
+	}
+	events, _ := rec.EventsSince(0)
+	for _, ev := range events {
+		if ev.Name == "reuse_restore_failed" {
+			return
+		}
+	}
+	t.Fatal("no reuse_restore_failed event in the trace")
 }
 
 // TestReuseRegistryMatching pins the one match policy (exact signature

@@ -15,10 +15,11 @@ type ablationRow struct {
 }
 
 // ablationRows returns the six rows the paper's ablation tables use. The
-// first row (DDPG alone) is equivalent to CDBTune.
+// first row (DDPG alone) is DDPG warm-started from the sample factory's
+// random samples, not the paper's cold DDPG.
 func ablationRows() []ablationRow {
 	return []ablationRow{
-		{"DDPG", core.Options{DisableGA: true, DisablePCA: true, DisableRF: true, DisableFES: true, Warmup: core.WarmupNone}},
+		{"DDPG", core.Options{DisableGA: true, DisablePCA: true, DisableRF: true, DisableFES: true}},
 		{"DDPG+GA", core.Options{DisablePCA: true, DisableRF: true, DisableFES: true}},
 		{"DDPG+GA+PCA", core.Options{DisableRF: true, DisableFES: true}},
 		{"DDPG+GA+RF", core.Options{DisablePCA: true, DisableFES: true}},
@@ -88,7 +89,7 @@ func RunTable6(cfg Config, w io.Writer) error {
 		opts  core.Options
 	}{
 		{"GA+", core.Options{}},
-		{"HER", core.Options{Warmup: core.WarmupHER}},
+		{"HER", core.Options{HERWarmup: true}},
 	}
 	rows := make([][]string, len(panels)*len(modes))
 	if err := runJobs(len(rows), func(k int) error {

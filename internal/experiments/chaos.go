@@ -58,8 +58,7 @@ func RunChaos(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	err = core.New(opts).Tune(s)
-	if err != nil && !errors.Is(err, tuner.ErrBudgetExhausted) {
+	if err := tuner.Done(core.New(opts).Tune(s)); err != nil {
 		s.Close()
 		return err
 	}

@@ -40,8 +40,9 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	// four sessions. Together they exercise slot folding, seed offsets and
 	// the table writer under contention. fig13 and fig14 are the ML-heavy
 	// figures: PCA, RF sifting and DDPG with model reuse must be
-	// bit-identical at any worker count.
-	ids := []string{"table6", "fig5", "fig13", "fig14"}
+	// bit-identical at any worker count. fig1 runs all five baselines,
+	// the only figure here with QTune and ResTune.
+	ids := []string{"table6", "fig5", "fig13", "fig14", "fig1"}
 	if raceEnabled {
 		// Race slowdown makes the multi-session figures too slow for the
 		// per-package timeout; table6 still races the scheduler end to end.

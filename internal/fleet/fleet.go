@@ -332,17 +332,16 @@ func (f *Fleet) runTenant(ctx context.Context, g grant) tenantOutcome {
 		DisablePCA:   true,
 		SampleTarget: coldSampleTarget,
 	}
+	var donorName string
 	if f.cfg.Reuse {
 		// With PCA disabled the session state is the full normalized metric
 		// vector, so the state dimension is a constant — which is exactly
 		// what makes cross-tenant snapshots compatible at all. The session
 		// probes the same frozen registry with the same key, so it restores
-		// the donor found here.
+		// the donor found here, if it restores one at all.
 		out.probed = true
 		if donor, ok := f.store.Match(spec.Signature(), knobs, metrics.Count); ok {
-			out.hit = true
-			out.res.Reused = true
-			out.res.ReuseFrom = donor.Tag + "@" + donor.Signature
+			donorName = donor.Tag + "@" + donor.Signature
 			opts.SampleTarget = warmSampleTarget
 		}
 		opts.Registry, opts.ReuseTag = f.store, spec.Signature()
@@ -350,6 +349,13 @@ func (f *Fleet) runTenant(ctx context.Context, g grant) tenantOutcome {
 	h := core.New(opts)
 	if err := h.Tune(s); err != nil {
 		return fail(err)
+	}
+	// A hit is a donor the session loaded. A tenant that meets its target
+	// before the Recommender runs, or whose donor does not restore, ran
+	// cold even though the probe found a donor.
+	if h.Reused() {
+		out.hit = true
+		out.res.Reused, out.res.ReuseFrom = true, donorName
 	}
 
 	out.res.Elapsed = s.Elapsed()

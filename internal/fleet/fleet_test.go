@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/hunter-cdb/hunter/internal/core"
+	"github.com/hunter-cdb/hunter/internal/metrics"
+	"github.com/hunter-cdb/hunter/internal/ml/ddpg"
 	"github.com/hunter-cdb/hunter/internal/parallel"
 	"github.com/hunter-cdb/hunter/internal/telemetry"
 )
@@ -154,6 +158,82 @@ func TestReuseReducesVirtualTime(t *testing.T) {
 	}
 	if cold.ReuseProbes != 0 || cold.ReuseHits != 0 {
 		t.Fatalf("reuse-off fleet recorded probes/hits: %+v", cold)
+	}
+}
+
+// corruptDonor returns a model that spec's session matches but cannot
+// restore: its critic is one weight short. Its fitness is unbeatable, so
+// no tenant's commit replaces it.
+func corruptDonor(t *testing.T, spec TenantSpec) core.Model {
+	t.Helper()
+	knobs := fleetKnobs(spec.Dialect)
+	a, err := ddpg.New(ddpg.Config{StateDim: metrics.Count, ActionDim: len(knobs), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := a.Snapshot()
+	snap.Critic = snap.Critic[:len(snap.Critic)-1]
+	return core.Model{
+		Signature: spec.Signature(), Tag: "corrupt", KnobNames: knobs,
+		StateDim: metrics.Count, Fitness: math.MaxFloat64, Snap: snap,
+	}
+}
+
+// TestUnrestorableDonorRunsCold: every tenant's probe finds a donor that
+// its session refuses to restore. No tenant warm-started, so the report
+// counts no hit and names no donor.
+func TestUnrestorableDonorRunsCold(t *testing.T) {
+	cfg := Config{Tenants: SyntheticTenants(4, 9), Reuse: true, Seed: 9, Policy: Policy{MaxActive: 4}}
+	for i := range cfg.Tenants {
+		// No SLO stop: every session reaches the Recommender and tries
+		// the donor.
+		cfg.Tenants[i].Target = 0
+		cfg.Tenants[i].Budget = 2 * time.Hour
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range cfg.Tenants {
+		f.store.Commit(corruptDonor(t, spec))
+	}
+	if err := f.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	r := f.Report()
+	r.Render(&out)
+	if r.ReuseProbes != len(cfg.Tenants) || r.ReuseHits != 0 || r.Done != len(cfg.Tenants) {
+		t.Fatalf("probes %d hits %d done %d, want %d probes, 0 hits, all done:\n%s",
+			r.ReuseProbes, r.ReuseHits, r.Done, len(cfg.Tenants), out.Bytes())
+	}
+	for _, res := range r.TenantResults {
+		if res.Reused || res.ReuseFrom != "" {
+			t.Errorf("tenant %s reads warm from %q, but no donor restored", res.Name, res.ReuseFrom)
+		}
+	}
+}
+
+// TestTargetBeforeRecommenderRunsCold: a round-1 tenant whose probe finds
+// the round-0 tenant's model but that meets its SLO target in its first
+// wave stops before the Recommender, so it never loads the donor.
+func TestTargetBeforeRecommenderRunsCold(t *testing.T) {
+	tenants := SyntheticTenants(2, 6)
+	tenants[1].Dialect, tenants[1].Profile = tenants[0].Dialect, tenants[0].Profile
+	tenants[0].Target, tenants[0].Budget = 0, 2*time.Hour
+	tenants[1].Target = 1e-9
+	f, out := runFleet(t, Config{Tenants: tenants, Reuse: true, Seed: 6, Policy: Policy{MaxActive: 1}})
+	r := f.Report()
+	first, second := r.TenantResults[0], r.TenantResults[1]
+	if r.ReuseStores == 0 || second.Round != 1 || !second.TargetHit || second.Waves != 1 {
+		t.Fatalf("premise: want a stored round-0 model and a round-1 tenant that hits its target in one wave:\n%s", out)
+	}
+	if second.Reused || r.ReuseHits != 0 || r.ReuseProbes != 2 {
+		t.Fatalf("tenant %s stopped before the Recommender yet reads reused=%v from %q; probes %d hits %d:\n%s",
+			second.Name, second.Reused, second.ReuseFrom, r.ReuseProbes, r.ReuseHits, out)
+	}
+	if first.Reused {
+		t.Fatalf("round-0 tenant %s reads warm", first.Name)
 	}
 }
 

@@ -36,8 +36,8 @@ type TenantResult struct {
 	Target    float64 `json:"target"`
 	TargetHit bool    `json:"target_hit"`
 	Fitness   float64 `json:"fitness"`
-	// Reused reports a warm start from the shared store; ReuseFrom names
-	// the donor as tenant@signature.
+	// Reused reports a warm start from the shared store: the session
+	// loaded the donor ReuseFrom names as tenant@signature.
 	Reused     bool        `json:"reused"`
 	ReuseFrom  string      `json:"reuse_from,omitempty"`
 	DefaultTPS float64     `json:"default_tps"`
@@ -62,6 +62,8 @@ type Report struct {
 	Done     int `json:"done"`
 	Failed   int `json:"failed"`
 
+	// ReuseProbes counts the tenants that probed the shared store, and
+	// ReuseHits those among them whose session loaded the donor found.
 	ReuseProbes  int     `json:"reuse_probes"`
 	ReuseHits    int     `json:"reuse_hits"`
 	ReuseStores  int     `json:"reuse_stores"`

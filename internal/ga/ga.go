@@ -27,12 +27,13 @@ type Config struct {
 	PopSize int
 	// MutationProb is β — per-gene probability of mutation.
 	MutationProb float64
-	// MutationScale is the Gaussian perturbation width of a mutated gene;
-	// with probability ½ a mutated gene is resampled uniformly instead,
-	// which keeps global exploration alive.
-	MutationScale float64
-	Seed          int64
+	Seed         int64
 }
+
+// mutationScale is the Gaussian perturbation width of a mutated gene;
+// with probability ½ a mutated gene is resampled uniformly instead, which
+// keeps global exploration alive.
+const mutationScale float64 = 0.15
 
 func (c Config) withDefaults() Config {
 	if c.PopSize == 0 {
@@ -43,9 +44,6 @@ func (c Config) withDefaults() Config {
 		// explore without destroying the parents' structure (the reason
 		// GA samples concentrate near the best, Figure 5).
 		c.MutationProb = 0.04
-	}
-	if c.MutationScale == 0 {
-		c.MutationScale = 0.15
 	}
 	return c
 }
@@ -234,7 +232,7 @@ func (g *GA) mutate(x []float64) {
 		if g.rng.Float64() < 0.5 {
 			x[i] = g.rng.Float64()
 		} else {
-			x[i] = sim.Clamp(x[i]+g.rng.Gaussian(0, g.cfg.MutationScale), 0, 1)
+			x[i] = sim.Clamp(x[i]+g.rng.Gaussian(0, mutationScale), 0, 1)
 		}
 	}
 }

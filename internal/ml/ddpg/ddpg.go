@@ -65,15 +65,21 @@ func (r *Replay) Sample(n int, rng *sim.RNG) []Transition {
 	return out
 }
 
-// Config sets the agent's hyper-parameters.
+// The learning hyper-parameters: the actor's and the critic's Adam
+// learning rates, the reward discount γ and the soft target-update rate τ.
+const (
+	actorLR  float64 = 1e-3
+	criticLR float64 = 1e-3
+	gamma    float64 = 0.9
+	tau      float64 = 0.01
+)
+
+// Config sets the agent's network shapes, minibatch and replay sizes, and
+// seed.
 type Config struct {
 	StateDim  int
 	ActionDim int
 	Hidden    []int // default {64, 64}
-	ActorLR   float64
-	CriticLR  float64
-	Gamma     float64
-	Tau       float64
 	BatchSize int
 	Capacity  int
 	Seed      int64
@@ -82,18 +88,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if len(c.Hidden) == 0 {
 		c.Hidden = []int{64, 64}
-	}
-	if c.ActorLR == 0 {
-		c.ActorLR = 1e-3
-	}
-	if c.CriticLR == 0 {
-		c.CriticLR = 1e-3
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.9
-	}
-	if c.Tau == 0 {
-		c.Tau = 0.01
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
@@ -271,7 +265,7 @@ func (a *Agent) TrainStep() float64 {
 	for i, j := range ws.idx {
 		y := a.replay.buf[j].Reward
 		if ws.valid[i] {
-			y += a.cfg.Gamma * qn[i]
+			y += gamma * qn[i]
 		}
 		ws.ys[i] = y
 	}
@@ -291,7 +285,7 @@ func (a *Agent) TrainStep() float64 {
 		ws.dq[i] = 2 * d
 	}
 	a.critic.BackwardBatch(&ws.critic, ws.dq)
-	a.critic.Step(a.cfg.CriticLR, n, 5)
+	a.critic.Step(criticLR, n, 5)
 
 	// --- Actor update: ascend Q(s, μ(s)) ---
 	// Action gradients flow through the (now frozen) critic's batched
@@ -320,11 +314,11 @@ func (a *Agent) TrainStep() float64 {
 	}
 	a.actor.ZeroGrad()
 	a.actor.BackwardBatch(&ws.actor, ws.negs)
-	a.actor.Step(a.cfg.ActorLR, n, 5)
+	a.actor.Step(actorLR, n, 5)
 
 	// --- Soft target updates ---
-	a.actor.SoftUpdate(a.actorT, a.cfg.Tau)
-	a.critic.SoftUpdate(a.criticT, a.cfg.Tau)
+	a.actor.SoftUpdate(a.actorT, tau)
+	a.critic.SoftUpdate(a.criticT, tau)
 	return loss / float64(n)
 }
 

@@ -30,7 +30,7 @@ func referenceTrainStep(a *Agent) float64 {
 			na := a.actorT.Forward(t.Next)
 			copy(sa, t.Next)
 			copy(sa[s:], na)
-			y += a.cfg.Gamma * a.criticT.Forward(sa)[0]
+			y += gamma * a.criticT.Forward(sa)[0]
 		}
 		ys[i] = y
 	}
@@ -45,7 +45,7 @@ func referenceTrainStep(a *Agent) float64 {
 		loss += d * d
 		a.critic.Backward([]float64{2 * d})
 	}
-	a.critic.Step(a.cfg.CriticLR, len(batch), 5)
+	a.critic.Step(criticLR, len(batch), 5)
 
 	negs := make([][]float64, len(batch))
 	for i, t := range batch {
@@ -68,10 +68,10 @@ func referenceTrainStep(a *Agent) float64 {
 		a.actor.Backward(negs[i])
 	}
 	a.critic.ZeroGrad()
-	a.actor.Step(a.cfg.ActorLR, len(batch), 5)
+	a.actor.Step(actorLR, len(batch), 5)
 
-	a.actor.SoftUpdate(a.actorT, a.cfg.Tau)
-	a.critic.SoftUpdate(a.criticT, a.cfg.Tau)
+	a.actor.SoftUpdate(a.actorT, tau)
+	a.critic.SoftUpdate(a.criticT, tau)
 	return loss / float64(len(batch))
 }
 

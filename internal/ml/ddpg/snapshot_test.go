@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/hunter-cdb/hunter/internal/ml/nn"
+	"github.com/hunter-cdb/hunter/internal/sim"
 )
 
 // TestAgentSnapshotRoundTrip checkpoints an agent mid-training (weights,
@@ -191,6 +192,58 @@ func TestAgentRestoreHugeCapacity(t *testing.T) {
 		t.Fatalf("replay holds %d transitions, want 12", a.Replay().Len())
 	}
 	exercise(t, &a)
+}
+
+// TestAgentRestoreIgnoresLearningRates: snapshots in the older layout
+// carry the learning rates, discount and target-update rate in their
+// configuration. Those are constants now, so a non-finite value there
+// cannot reach training: the agent restores, trains and acts finitely.
+func TestAgentRestoreIgnoresLearningRates(t *testing.T) {
+	type olderConfig struct {
+		StateDim, ActionDim           int
+		Hidden                        []int
+		ActorLR, CriticLR, Gamma, Tau float64
+		BatchSize, Capacity           int
+		Seed                          int64
+	}
+	type olderLayout struct {
+		Cfg                            olderConfig
+		Actor, Critic, ActorT, CriticT nn.State
+		ReplayBuf                      []Transition
+		ReplayPos                      int
+		RNG                            sim.RNGState
+		Steps                          int
+	}
+	var st agentState
+	if err := gob.NewDecoder(bytes.NewReader(trainedSnapshot(t))).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	old := olderLayout{
+		Cfg: olderConfig{
+			StateDim: st.Cfg.StateDim, ActionDim: st.Cfg.ActionDim, Hidden: st.Cfg.Hidden,
+			ActorLR: math.NaN(), CriticLR: math.NaN(), Gamma: math.Inf(1), Tau: math.Inf(1),
+			BatchSize: st.Cfg.BatchSize, Capacity: st.Cfg.Capacity, Seed: st.Cfg.Seed,
+		},
+		Actor: st.Actor, Critic: st.Critic, ActorT: st.ActorT, CriticT: st.CriticT,
+		ReplayBuf: st.ReplayBuf, ReplayPos: st.ReplayPos, RNG: st.RNG, Steps: st.Steps,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var a Agent
+	if err := a.RestoreFrom(&buf); err != nil {
+		t.Fatalf("RestoreFrom: %v", err)
+	}
+	state := []float64{0.2, -0.1, 0.4}
+	for i := 0; i < 3; i++ {
+		a.TrainStep()
+	}
+	for j, v := range a.Act(state) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("action[%d] = %v after training a restored agent", j, v)
+		}
+	}
 }
 
 // FuzzAgentRestore overwrites a real snapshot's decoded configuration,

@@ -19,34 +19,27 @@ import (
 
 // Options configure forest training.
 type Options struct {
-	// Trees is the number of CARTs (paper: 200).
+	// Trees is the number of CARTs (paper: 200); 0 selects 200.
 	Trees int
-	// FeaturesPerTree g < m; 0 selects ceil(m/3).
-	FeaturesPerTree int
-	// MaxDepth bounds tree depth; 0 selects 8.
-	MaxDepth int
-	// MinLeaf is the minimum samples in a leaf; 0 selects 3.
-	MinLeaf int
 }
 
-func (o Options) withDefaults(m int) Options {
+func (o Options) withDefaults() Options {
 	if o.Trees <= 0 {
 		o.Trees = 200
 	}
-	if o.FeaturesPerTree <= 0 {
-		o.FeaturesPerTree = (m + 2) / 3
-	}
-	if o.FeaturesPerTree > m {
-		o.FeaturesPerTree = m
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 8
-	}
-	if o.MinLeaf <= 0 {
-		o.MinLeaf = 3
-	}
 	return o
 }
+
+// The tree shape: depth is bounded by maxDepth, and every leaf holds at
+// least minLeaf samples.
+const (
+	maxDepth = 8
+	minLeaf  = 3
+)
+
+// featuresPerTree is g = ⌈m/3⌉, the size of each tree's random feature
+// subset over m features.
+func featuresPerTree(m int) int { return (m + 2) / 3 }
 
 // Forest is a trained random forest.
 type Forest struct {
@@ -93,7 +86,7 @@ func Train(x [][]float64, y []float64, opts Options, rng *sim.RNG) (*Forest, err
 			return nil, fmt.Errorf("rf: ragged sample %d", i)
 		}
 	}
-	opts = opts.withDefaults(m)
+	opts = opts.withDefaults()
 	f := &Forest{dim: m, importance: make([]float64, m)}
 
 	// Draw every tree's randomness serially, consuming the master stream
@@ -110,18 +103,18 @@ func Train(x [][]float64, y []float64, opts Options, rng *sim.RNG) (*Forest, err
 		}
 		// Random feature subset (the individual C of each CART).
 		tasks[t].idx = idx
-		tasks[t].feats = rng.Perm(m)[:opts.FeaturesPerTree]
+		tasks[t].feats = rng.Perm(m)[:featuresPerTree(m)]
 	}
 	for t := range tasks {
 		tasks[t].rng = rng.Fork()
 	}
 
-	// Every split node feeds ≥ MinLeaf samples to each child, so a tree
-	// over n bootstrap rows has at most n/MinLeaf leaves (and the depth
+	// Every split node feeds ≥ minLeaf samples to each child, so a tree
+	// over n bootstrap rows has at most n/minLeaf leaves (and the depth
 	// cap bounds it too); pre-sizing the node arena to the tighter bound
 	// makes tree growth allocation-free.
-	nodeCap := 2*(n/opts.MinLeaf) + 3
-	if depthCap := 1<<(opts.MaxDepth+1) - 1; nodeCap > depthCap {
+	nodeCap := 2*(n/minLeaf) + 3
+	if depthCap := 1<<(maxDepth+1) - 1; nodeCap > depthCap {
 		nodeCap = depthCap
 	}
 
@@ -135,7 +128,7 @@ func Train(x [][]float64, y []float64, opts Options, rng *sim.RNG) (*Forest, err
 		for t := lo; t < hi; t++ {
 			tr := trainerPool.Get().(*trainer)
 			tree := &tree{nodes: make([]node, 0, nodeCap)}
-			tr.fit(tree, x, y, tasks[t].idx, tasks[t].feats, opts, impBlock[t*m:(t+1)*m])
+			tr.fit(tree, x, y, tasks[t].idx, tasks[t].feats, impBlock[t*m:(t+1)*m])
 			f.trees[t] = tree
 			trainerPool.Put(tr)
 		}
@@ -184,7 +177,6 @@ type pair struct{ v, y float64 }
 // knobs) always take the slow path.
 type trainer struct {
 	feats []int
-	opts  Options
 	imp   []float64
 	t     *tree
 	n     int
@@ -254,10 +246,10 @@ func (tr *trainer) reset(n, g int) {
 
 // fit grows one tree on the bootstrap rows idx over the feature subset
 // feats, accumulating impurity gains into imp.
-func (tr *trainer) fit(t *tree, x [][]float64, y []float64, idx, feats []int, opts Options, imp []float64) {
+func (tr *trainer) fit(t *tree, x [][]float64, y []float64, idx, feats []int, imp []float64) {
 	n, g := len(idx), len(feats)
 	tr.reset(n, g)
-	tr.feats, tr.opts, tr.imp, tr.t = feats, opts, imp, t
+	tr.feats, tr.imp, tr.t = feats, imp, t
 	// Position k of the arena is bootstrap draw k — the exact order the
 	// seed's root index slice held the rows.
 	for k, row := range idx {
@@ -310,10 +302,10 @@ func eligibleColumn(col, yboot []float64, srt []int) bool {
 // build grows a subtree over the arena range [lo, hi) and returns its
 // node index.
 func (tr *trainer) build(lo, hi, depth int) int {
-	t, opts := tr.t, tr.opts
+	t := tr.t
 	idx := tr.arena[lo:hi]
 	mu, va := meanVarPos(tr.yboot, idx)
-	if depth >= opts.MaxDepth || len(idx) < 2*opts.MinLeaf || va < 1e-12 {
+	if depth >= maxDepth || len(idx) < 2*minLeaf || va < 1e-12 {
 		t.nodes = append(t.nodes, node{feature: -1, value: mu})
 		return len(t.nodes) - 1
 	}
@@ -386,7 +378,7 @@ func (tr *trainer) bestSplit(lo, hi, c int) (thr, gain float64) {
 		tr.psSrt.ps = ps
 		sort.Sort(&tr.psSrt)
 	}
-	return scanSplit(ps, tr.opts.MinLeaf)
+	return scanSplit(ps, minLeaf)
 }
 
 // scanSplit runs the seed's prefix-sum scan over value-sorted pairs.

@@ -61,7 +61,7 @@ func TestImportanceNormalized(t *testing.T) {
 func TestPredictTracksFunction(t *testing.T) {
 	rng := sim.NewRNG(3)
 	x, y := synthetic(rng, 500, 10)
-	f, err := Train(x, y, Options{Trees: 100, MaxDepth: 10}, rng)
+	f, err := Train(x, y, Options{Trees: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 
 func seedTrain(x [][]float64, y []float64, opts Options, rng *sim.RNG) *Forest {
 	m := len(x[0])
-	opts = opts.withDefaults(m)
+	opts = opts.withDefaults()
 	f := &Forest{dim: m, importance: make([]float64, m)}
 	tasks := make([]treeTask, opts.Trees)
 	for t := range tasks {
@@ -30,7 +30,7 @@ func seedTrain(x [][]float64, y []float64, opts Options, rng *sim.RNG) *Forest {
 			idx[i] = rng.Intn(len(x))
 		}
 		tasks[t].idx = idx
-		tasks[t].feats = rng.Perm(m)[:opts.FeaturesPerTree]
+		tasks[t].feats = rng.Perm(m)[:featuresPerTree(m)]
 	}
 	for t := range tasks {
 		tasks[t].rng = rng.Fork()
@@ -40,7 +40,7 @@ func seedTrain(x [][]float64, y []float64, opts Options, rng *sim.RNG) *Forest {
 	for t := range tasks {
 		imp := make([]float64, m)
 		tr := &tree{}
-		seedBuild(tr, x, y, tasks[t].idx, tasks[t].feats, opts, 0, imp)
+		seedBuild(tr, x, y, tasks[t].idx, tasks[t].feats, 0, imp)
 		f.trees[t] = tr
 		perTree[t] = imp
 	}
@@ -61,15 +61,15 @@ func seedTrain(x [][]float64, y []float64, opts Options, rng *sim.RNG) *Forest {
 	return f
 }
 
-func seedBuild(t *tree, x [][]float64, y []float64, idx, feats []int, opts Options, depth int, importance []float64) int {
+func seedBuild(t *tree, x [][]float64, y []float64, idx, feats []int, depth int, importance []float64) int {
 	mu, va := seedMeanVar(y, idx)
-	if depth >= opts.MaxDepth || len(idx) < 2*opts.MinLeaf || va < 1e-12 {
+	if depth >= maxDepth || len(idx) < 2*minLeaf || va < 1e-12 {
 		t.nodes = append(t.nodes, node{feature: -1, value: mu})
 		return len(t.nodes) - 1
 	}
 	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
 	for _, f := range feats {
-		thr, gain := seedBestSplit(x, y, idx, f, opts.MinLeaf)
+		thr, gain := seedBestSplit(x, y, idx, f, minLeaf)
 		if gain > bestGain {
 			bestFeat, bestThr, bestGain = f, thr, gain
 		}
@@ -89,8 +89,8 @@ func seedBuild(t *tree, x [][]float64, y []float64, idx, feats []int, opts Optio
 	}
 	self := len(t.nodes)
 	t.nodes = append(t.nodes, node{feature: bestFeat, threshold: bestThr})
-	l := seedBuild(t, x, y, left, feats, opts, depth+1, importance)
-	r := seedBuild(t, x, y, right, feats, opts, depth+1, importance)
+	l := seedBuild(t, x, y, left, feats, depth+1, importance)
+	r := seedBuild(t, x, y, right, feats, depth+1, importance)
 	t.nodes[self].left, t.nodes[self].right = l, r
 	return self
 }

@@ -297,7 +297,6 @@ func TestResumeRejectsOlderLayout(t *testing.T) {
 		Steps       int
 		WaveCount   int
 		BestFit     float64
-		ModelTime   time.Duration
 		DefaultPerf simdb.Perf
 		Curve       Curve
 		Samples     []Sample
@@ -316,7 +315,7 @@ func TestResumeRejectsOlderLayout(t *testing.T) {
 			Dialect: st.Dialect, TypeName: st.TypeName, Workload: st.Workload, KnobNames: st.KnobNames,
 			Seed: st.Seed, Clones: st.Clones, Budget: st.Budget, Alpha: st.Alpha,
 			Clock: st.Clock, Steps: st.Run.Steps, WaveCount: st.Run.WaveCount, BestFit: st.Run.BestFit,
-			ModelTime: st.Run.ModelTime, DefaultPerf: st.DefaultPerf, Curve: st.Run.Curve,
+			DefaultPerf: st.DefaultPerf, Curve: st.Run.Curve,
 			Samples: st.Samples, RNG: st.RNG, CurWorkload: st.CurWorkload,
 			DriftQueue: st.Run.Drifts, DriftIdx: st.Run.DriftIdx, BestSince: st.Run.BestSince,
 			UserID: st.UserID,

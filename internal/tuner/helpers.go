@@ -26,6 +26,34 @@ func LatinHypercube(n, dim int, rng *sim.RNG) [][]float64 {
 	return out
 }
 
+// fitnessDataCap bounds a GP training set, whose fit costs n³: a larger
+// pool is cut to its fitnessDataCap/2 fittest samples followed by its
+// fitnessDataCap/2 most recent ones.
+const fitnessDataCap = 240
+
+// FitnessData returns the GP training set of OtterTune and ResTune: the
+// pooled sample points x with their Eq. 1 fitness y, capped at
+// fitnessDataCap samples, and best, the index of the incumbent (the first
+// maximum of y).
+func FitnessData(s *Session) (x [][]float64, y []float64, best int) {
+	all := s.Pool.All()
+	if len(all) > fitnessDataCap {
+		half := fitnessDataCap / 2
+		sorted := s.Pool.SortedByFitness(s.DefaultPerf, s.Alpha)
+		all = append(append([]Sample(nil), sorted[:half]...), all[len(all)-half:]...)
+	}
+	x = make([][]float64, len(all))
+	y = make([]float64, len(all))
+	for i, smp := range all {
+		x[i] = smp.Point
+		y[i] = s.Fitness(smp.Perf)
+		if y[i] > y[best] {
+			best = i
+		}
+	}
+	return x, y, best
+}
+
 // StateNormalizer standardizes metric vectors online with running
 // mean/variance (Welford), so DRL tuners see comparably scaled states from
 // the first step.

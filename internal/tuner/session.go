@@ -181,7 +181,6 @@ type runState struct {
 	Curve     Curve
 	BestFit   float64
 	TargetHit bool
-	ModelTime time.Duration // accumulated ModelUpdate charges (Table 1)
 
 	// Scheduled drifts, ordered by firing time. DriftIdx is the count
 	// already fired; BestSince fences Best() to samples measured on the
@@ -469,11 +468,7 @@ func (s *Session) Fitness(p simdb.Perf) float64 {
 // tuners call it after each learning step.
 func (s *Session) ChargeModelUpdate() {
 	s.charge("model_update", s.Costs.ModelUpdate)
-	s.run.ModelTime += s.Costs.ModelUpdate
 }
-
-// ModelUpdateTime returns the cumulative model-update charge.
-func (s *Session) ModelUpdateTime() time.Duration { return s.run.ModelTime }
 
 // Evaluate stress-tests a single normalized point (on clone 0). If an
 // injected fault swallows the sample (degraded wave with no survivors) it

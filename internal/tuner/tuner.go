@@ -6,6 +6,7 @@
 package tuner
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -168,6 +169,15 @@ func (c Curve) TimeToFitness(def simdb.Perf, alpha, target float64) (time.Durati
 
 // ErrBudgetExhausted signals that the session's time budget is spent.
 var ErrBudgetExhausted = fmt.Errorf("tuner: time budget exhausted")
+
+// Done is the stop rule of every tuning loop: an exhausted budget ends
+// the run normally (nil); any other error passes through.
+func Done(err error) error {
+	if errors.Is(err, ErrBudgetExhausted) {
+		return nil
+	}
+	return err
+}
 
 // ErrFleetLost signals that every cloned CDB has crashed or been
 // quarantined: the session cannot stress-test anything anymore, and the

@@ -145,3 +145,63 @@ func TestPerturbPointBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFitnessData pins the GP training set: the whole pool in pool order
+// up to 240 samples; beyond that the 120 fittest (stable by pool order)
+// followed by the 120 most recent. best is the first maximum of y.
+func TestFitnessData(t *testing.T) {
+	s := newTestSession(t, 1, time.Hour)
+	s.Pool = NewSharedPool()
+	def := s.DefaultPerf
+	// gain i is sample i's throughput gain over the default; samples 2
+	// and 4 tie for the best among the first five.
+	gain := func(i int) float64 {
+		if i == 2 || i == 4 {
+			return 0.9
+		}
+		return float64((i*7919)%283) / 1000
+	}
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			perf := def
+			perf.ThroughputTPS *= 1 + gain(i)
+			s.Pool.Add(Sample{Point: []float64{float64(i)}, Perf: perf, Step: i})
+		}
+	}
+	check := func(want []int, wantBest int) {
+		t.Helper()
+		x, y, best := FitnessData(s)
+		if len(x) != len(want) || len(y) != len(want) {
+			t.Fatalf("%d rows and %d labels, want %d", len(x), len(y), len(want))
+		}
+		all := s.Pool.All()
+		for k, i := range want {
+			if x[k][0] != float64(i) || y[k] != s.Fitness(all[i].Perf) {
+				t.Fatalf("row %d holds sample %v (fitness %v), want sample %d (fitness %v)", k, x[k][0], y[k], i, s.Fitness(all[i].Perf))
+			}
+		}
+		if best != wantBest {
+			t.Fatalf("best = %d, want %d", best, wantBest)
+		}
+	}
+
+	add(0, 5)
+	check([]int{0, 1, 2, 3, 4}, 2)
+
+	const n = 300
+	add(5, n)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	all := s.Pool.All()
+	sort.SliceStable(order, func(a, b int) bool { return s.Fitness(all[order[a]].Perf) > s.Fitness(all[order[b]].Perf) })
+	want := append([]int(nil), order[:120]...)
+	for i := n - 120; i < n; i++ {
+		want = append(want, i)
+	}
+	check(want, 0)
+	if want[0] != 2 || want[1] != 4 {
+		t.Fatalf("fittest samples %v, want the tie 2, 4 first", want[:2])
+	}
+}

@@ -8,8 +8,6 @@
 package bestconfig
 
 import (
-	"errors"
-
 	"github.com/hunter-cdb/hunter/internal/sim"
 	"github.com/hunter-cdb/hunter/internal/tuner"
 )
@@ -68,10 +66,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 			}
 		}
 		if err != nil {
-			if errors.Is(err, tuner.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
+			return tuner.Done(err)
 		}
 		if improved && bestPoint != nil && exploitRounds < maxExploit {
 			// RBS: contract the bounds around the incumbent.

@@ -5,8 +5,6 @@
 package gatuner
 
 import (
-	"errors"
-
 	"github.com/hunter-cdb/hunter/internal/ga"
 	"github.com/hunter-cdb/hunter/internal/tuner"
 )
@@ -50,10 +48,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 			s.ChargeModelUpdate()
 		}
 		if err != nil {
-			if errors.Is(err, tuner.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
+			return tuner.Done(err)
 		}
 	}
 	return nil

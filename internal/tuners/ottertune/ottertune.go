@@ -6,8 +6,6 @@
 package ottertune
 
 import (
-	"errors"
-
 	"github.com/hunter-cdb/hunter/internal/ml/gp"
 	"github.com/hunter-cdb/hunter/internal/ml/lasso"
 	"github.com/hunter-cdb/hunter/internal/tuner"
@@ -41,29 +39,13 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 
 	// Bootstrap with Latin-hypercube samples.
 	if _, err := s.EvaluateBatch(tuner.LatinHypercube(initSamples, dim, rng)); err != nil {
-		if errors.Is(err, tuner.ErrBudgetExhausted) {
-			return nil
-		}
-		return err
+		return tuner.Done(err)
 	}
 
 	step := 0
 	for !s.Exhausted() {
 		step++
-		all := s.Pool.All()
-		// Cap the GP training set (Cholesky is cubic): keep the fittest
-		// half and the most recent half of up to 240 samples.
-		if len(all) > 240 {
-			sorted := s.Pool.SortedByFitness(s.DefaultPerf, s.Alpha)
-			recent := all[len(all)-120:]
-			all = append(append([]tuner.Sample(nil), sorted[:120]...), recent...)
-		}
-		x := make([][]float64, len(all))
-		y := make([]float64, len(all))
-		for i, smp := range all {
-			x[i] = smp.Point
-			y[i] = s.Fitness(smp.Perf)
-		}
+		x, y, best := tuner.FitnessData(s)
 
 		// Lasso knob ranking; only the top knobs vary, the rest stay at
 		// the incumbent's values.
@@ -87,10 +69,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 		if err != nil {
 			// Degenerate kernel: fall back to a random probe.
 			if _, err := s.Evaluate(s.Space.Random(rng)); err != nil {
-				if errors.Is(err, tuner.ErrBudgetExhausted) {
-					return nil
-				}
-				return err
+				return tuner.Done(err)
 			}
 			s.ChargeModelUpdate()
 			continue
@@ -100,7 +79,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 		// Acquisition: EI over random candidates plus local perturbations
 		// of the incumbent. Only the active knobs vary; the rest stay at
 		// their defaults, per OtterTune's incremental-knob design.
-		incumbent := x[argMax(y)]
+		incumbent := x[best]
 		defaults := s.Space.DefaultPoint()
 		bestEI, bestCand := -1.0, incumbent
 		for c := 0; c < candidates; c++ {
@@ -115,15 +94,12 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 					cand[d] = defaults[d]
 				}
 			}
-			if ei := model.ExpectedImprovement(cand, y[argMax(y)]); ei > bestEI {
+			if ei := model.ExpectedImprovement(cand, y[best]); ei > bestEI {
 				bestEI, bestCand = ei, cand
 			}
 		}
 		if _, err := s.Evaluate(bestCand); err != nil {
-			if errors.Is(err, tuner.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
+			return tuner.Done(err)
 		}
 	}
 	return nil
@@ -135,14 +111,4 @@ func (t *Tuner) activeKnobs(step int) int {
 		idx = len(knobSchedule) - 1
 	}
 	return knobSchedule[idx]
-}
-
-func argMax(v []float64) int {
-	best := 0
-	for i := range v {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }

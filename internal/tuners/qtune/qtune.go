@@ -6,11 +6,8 @@
 package qtune
 
 import (
-	"errors"
-
-	"github.com/hunter-cdb/hunter/internal/metrics"
-	"github.com/hunter-cdb/hunter/internal/ml/ddpg"
 	"github.com/hunter-cdb/hunter/internal/tuner"
+	"github.com/hunter-cdb/hunter/internal/tuners/cdbtune"
 	"github.com/hunter-cdb/hunter/internal/workload"
 )
 
@@ -23,16 +20,9 @@ const (
 	workloadFeatureDim = maxClasses*perClassFeatures + 4
 )
 
-// The reference settings: random warm-up steps, the exploration-noise
-// schedule and the minibatch updates per sample, as in CDBTune but with a
-// shorter noise horizon. The noise bounds are typed so that
-// noiseEnd-noiseStart rounds to float64 like run-time math.
-const (
-	initRandom                   = 8
-	noiseStart, noiseEnd float64 = 0.5, 0.05
-	noiseDecaySteps              = 650
-	trainPerStep                 = 4
-)
+// noiseDecaySteps is QTune's exploration-noise horizon, shorter than
+// CDBTune's.
+const noiseDecaySteps = 650
 
 // Tuner is the DS-DDPG tuner.
 type Tuner struct{}
@@ -74,78 +64,8 @@ func Featurize(p *workload.Profile) []float64 {
 	return out
 }
 
-// Tune implements tuner.Tuner.
+// Tune implements tuner.Tuner: CDBTune's DDPG loop over the metric state
+// extended with the workload features.
 func (t *Tuner) Tune(s *tuner.Session) error {
-	dim := s.Space.Dim()
-	rng := s.RNG.Fork()
-	stateDim := metrics.Count + workloadFeatureDim
-	agent, err := ddpg.New(ddpg.Config{StateDim: stateDim, ActionDim: dim, Seed: rng.Int63()})
-	if err != nil {
-		return err
-	}
-	norm := tuner.NewStateNormalizer(metrics.Count)
-	wf := Featurize(s.Req.Workload)
-	compose := func(metricState []float64) []float64 {
-		out := make([]float64, 0, stateDim)
-		out = append(out, metricState...)
-		out = append(out, wf...)
-		return out
-	}
-
-	var metricState []float64
-	for i := 0; i < initRandom && !s.Exhausted(); i++ {
-		smp, err := s.Evaluate(s.Space.Random(rng))
-		if err != nil {
-			if errors.Is(err, tuner.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
-		}
-		if len(smp.State) == metrics.Count {
-			norm.Observe(smp.State)
-			metricState = norm.Normalize(smp.State)
-		}
-	}
-	if metricState == nil {
-		metricState = make([]float64, metrics.Count)
-	}
-	state := compose(metricState)
-
-	step := 0
-	refeaturized := false
-	for !s.Exhausted() {
-		step++
-		if s.Drifted() && !refeaturized {
-			// The workload changed under us: re-vectorize the queries.
-			wf = Featurize(s.Req.Workload)
-			refeaturized = true
-		}
-		frac := float64(step) / float64(noiseDecaySteps)
-		if frac > 1 {
-			frac = 1
-		}
-		sigma := noiseStart + (noiseEnd-noiseStart)*frac
-		action := agent.ActNoisy(state, sigma)
-		smp, err := s.Evaluate(action)
-		var next []float64
-		if len(smp.State) == metrics.Count {
-			norm.Observe(smp.State)
-			next = compose(norm.Normalize(smp.State))
-		} else {
-			next = state
-		}
-		agent.Observe(ddpg.Transition{State: state, Action: action, Reward: s.Fitness(smp.Perf), Next: next, Done: err != nil})
-		for k := 0; k < trainPerStep; k++ {
-			agent.TrainStep()
-		}
-		s.ChargeModelUpdate()
-		state = next
-		if err != nil {
-			if errors.Is(err, tuner.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	return cdbtune.Run(s, noiseDecaySteps, Featurize)
 }

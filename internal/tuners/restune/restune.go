@@ -10,7 +10,6 @@
 package restune
 
 import (
-	"errors"
 	"math"
 
 	"github.com/hunter-cdb/hunter/internal/ml/gp"
@@ -40,18 +39,13 @@ func New() *Tuner { return &Tuner{} }
 // Name implements tuner.Tuner.
 func (t *Tuner) Name() string { return "ResTune" }
 
-// baseTask is one historical workload's surrogate.
-type baseTask struct {
-	model *gp.Model
-}
-
 // buildLibrary synthesizes the historical task library: smooth random
 // response surfaces over the same space, standing in for other tenants'
 // tuning histories. Some resemble the target task's structure (memory and
 // durability knobs matter), some do not — the ensemble weighting must sort
 // that out, exactly as in the real system.
-func (t *Tuner) buildLibrary(dim int, rng *sim.RNG) []baseTask {
-	tasks := make([]baseTask, 0, baseTasks)
+func (t *Tuner) buildLibrary(dim int, rng *sim.RNG) []*gp.Model {
+	tasks := make([]*gp.Model, 0, baseTasks)
 	for k := 0; k < baseTasks; k++ {
 		// A random quadratic-ish landscape with a planted optimum.
 		opt := make([]float64, dim)
@@ -74,7 +68,7 @@ func (t *Tuner) buildLibrary(dim int, rng *sim.RNG) []baseTask {
 			y[i] = 1 - loss + rng.Gaussian(0, 0.02)
 		}
 		if m, err := gp.Fit(x, y, gp.Options{}); err == nil {
-			tasks = append(tasks, baseTask{model: m})
+			tasks = append(tasks, m)
 		}
 	}
 	return tasks
@@ -87,32 +81,15 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 	library := t.buildLibrary(dim, rng)
 
 	if _, err := s.EvaluateBatch(tuner.LatinHypercube(initSamples, dim, rng)); err != nil {
-		if errors.Is(err, tuner.ErrBudgetExhausted) {
-			return nil
-		}
-		return err
+		return tuner.Done(err)
 	}
 
 	for !s.Exhausted() {
-		all := s.Pool.All()
-		if len(all) > 240 {
-			sorted := s.Pool.SortedByFitness(s.DefaultPerf, s.Alpha)
-			recent := all[len(all)-120:]
-			all = append(append([]tuner.Sample(nil), sorted[:120]...), recent...)
-		}
-		x := make([][]float64, len(all))
-		y := make([]float64, len(all))
-		for i, smp := range all {
-			x[i] = smp.Point
-			y[i] = s.Fitness(smp.Perf)
-		}
+		x, y, inc := tuner.FitnessData(s)
 		target, err := gp.Fit(x, y, gp.Options{})
 		if err != nil {
 			if _, err := s.Evaluate(s.Space.Random(rng)); err != nil {
-				if errors.Is(err, tuner.ErrBudgetExhausted) {
-					return nil
-				}
-				return err
+				return tuner.Done(err)
 			}
 			continue
 		}
@@ -123,8 +100,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 		// own (loo-optimistic) accuracy.
 		weights := t.ensembleWeights(library, target, x, y)
 
-		incumbent := x[argMax(y)]
-		best := y[argMax(y)]
+		incumbent, best := x[inc], y[inc]
 		bestEI, bestCand := -1.0, incumbent
 		for c := 0; c < candidates; c++ {
 			var cand []float64
@@ -134,9 +110,9 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 				cand = tuner.PerturbPoint(incumbent, 0.15, rng)
 			}
 			ei := weights[len(library)] * target.ExpectedImprovement(cand, best)
-			for k, bt := range library {
+			for k, m := range library {
 				if weights[k] > 0.01 {
-					ei += weights[k] * bt.model.ExpectedImprovement(cand, best)
+					ei += weights[k] * m.ExpectedImprovement(cand, best)
 				}
 			}
 			if ei > bestEI {
@@ -144,10 +120,7 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 			}
 		}
 		if _, err := s.Evaluate(bestCand); err != nil {
-			if errors.Is(err, tuner.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
+			return tuner.Done(err)
 		}
 	}
 	return nil
@@ -155,16 +128,16 @@ func (t *Tuner) Tune(s *tuner.Session) error {
 
 // ensembleWeights returns one weight per base task plus the target model's
 // weight in the last slot, normalized to sum to 1.
-func (t *Tuner) ensembleWeights(library []baseTask, target *gp.Model, x [][]float64, y []float64) []float64 {
+func (t *Tuner) ensembleWeights(library []*gp.Model, target *gp.Model, x [][]float64, y []float64) []float64 {
 	n := len(x)
 	score := make([]float64, len(library)+1)
 	pairs := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n && j < i+8; j++ { // bounded pair sampling
 			pairs++
-			for k, bt := range library {
-				mi, _ := bt.model.Predict(x[i])
-				mj, _ := bt.model.Predict(x[j])
+			for k, m := range library {
+				mi, _ := m.Predict(x[i])
+				mj, _ := m.Predict(x[j])
 				if (mi > mj) == (y[i] > y[j]) {
 					score[k]++
 				}
@@ -196,14 +169,4 @@ func (t *Tuner) ensembleWeights(library []baseTask, target *gp.Model, x [][]floa
 		score[k] /= total
 	}
 	return score
-}
-
-func argMax(v []float64) int {
-	best := 0
-	for i := range v {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }

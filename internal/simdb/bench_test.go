@@ -50,6 +50,77 @@ func BenchmarkBufferPoolMidpointVsPlain(b *testing.B) {
 	b.Run("plain-lru", func(b *testing.B) { run(b, 95, false) })
 }
 
+// tpccLockBatch draws a lock batch shaped like the engine's on TPC-C: 32
+// transactions, new_order (23 writes, one on the 550-row warehouse and
+// district set) or payment (4 writes, two of them hot) by the mix's
+// weights, cold writes from its Zipf row space.
+func tpccLockBatch(rng *sim.RNG) [][]uint64 {
+	p := workload.TPCC()
+	rows := sim.NewZipf(rng, p.Skew, uint64(p.Rows))
+	ws := make([][]uint64, 32)
+	for t := range ws {
+		writes, hot := 23, 1
+		if rng.Intn(88) >= 45 {
+			writes, hot = 4, 2
+		}
+		ws[t] = engineWriteSet(rng, &rows, writes, hot, p.HotSetSize)
+	}
+	return ws
+}
+
+// sysbenchLockBatch draws a lock batch shaped like the engine's on
+// sysbench-rw: 256 transactions of 4 writes over its Zipf row space.
+func sysbenchLockBatch(rng *sim.RNG) [][]uint64 {
+	p := workload.SysbenchRW()
+	rows := sim.NewZipf(rng, p.Skew, uint64(p.Rows))
+	ws := make([][]uint64, 256)
+	for t := range ws {
+		ws[t] = engineWriteSet(rng, &rows, 4, 0, 0)
+	}
+	return ws
+}
+
+// engineWriteSet builds one write set as Engine.measurePool does.
+func engineWriteSet(rng *sim.RNG, rows *sim.Zipf, writes, hot int, hotSet int64) []uint64 {
+	var ws []uint64
+	for i := 0; i < hot; i++ {
+		ws = append(ws, uint64(rng.Int63n(hotSet)))
+	}
+	for i := hot; i < writes; i++ {
+		ws = append(ws, rows.Next()+1<<32)
+	}
+	if rng.Float64() < 0.92 || len(ws) > 8 {
+		sortUint64(ws)
+	}
+	return ws
+}
+
+// BenchmarkLockSim measures the batch lock simulation alone, one batch per
+// op, over 16 engine-shaped batches per workload built once from seed 1.
+func BenchmarkLockSim(b *testing.B) {
+	for _, shape := range []struct {
+		name  string
+		batch func(*sim.RNG) [][]uint64
+	}{
+		{"tpcc", tpccLockBatch},
+		{"sysbench-rw", sysbenchLockBatch},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := sim.NewRNG(1)
+			batches := make([][][]uint64, 16)
+			for i := range batches {
+				batches[i] = shape.batch(rng)
+			}
+			var s lockSim
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.run(batches[i%len(batches)])
+			}
+		})
+	}
+}
+
 // BenchmarkEngineRun measures one full stress test (the unit of every
 // tuning step) per workload.
 func BenchmarkEngineRun(b *testing.B) {

@@ -247,35 +247,75 @@ func sortUint64(a []uint64) {
 }
 
 // lockSim is the reusable state of the batch lock simulation: one lock
-// table plus the per-transaction progress scratch, reused across the many
+// table plus the per-transaction scheduling scratch, reused across the many
 // batches of a stress test and across stress tests.
 type lockSim struct {
 	lt       lockTable
-	progress []int
-	blocked  []bool
-	commitAt []int
-	done     []bool
+	progress []int    // index of each transaction's next key to lock
+	blocked  []bool   // waiting for writeSets[t][progress[t]]
+	waiters  []int    // holder → first transaction parked on it (-1: none)
+	nextWait []int    // parked transaction → next one parked on its holder
+	due      []uint64 // three round bitsets back to back, see run
 }
 
 // prepare sizes the scratch for n transactions writing at most keys rows
-// and zeroes it.
+// and resets it: no progress, nobody blocked or parked, nobody due.
 func (s *lockSim) prepare(n, keys int) {
 	s.lt.reset(n, keys)
 	if cap(s.progress) < n {
 		s.progress = make([]int, n)
 		s.blocked = make([]bool, n)
-		s.commitAt = make([]int, n)
-		s.done = make([]bool, n)
+		s.waiters = make([]int, n)
+		s.nextWait = make([]int, n)
 	} else {
 		s.progress = s.progress[:n]
 		s.blocked = s.blocked[:n]
-		s.commitAt = s.commitAt[:n]
-		s.done = s.done[:n]
+		s.waiters = s.waiters[:n]
+		s.nextWait = s.nextWait[:n]
 	}
 	for i := 0; i < n; i++ {
-		s.progress[i], s.commitAt[i] = 0, 0
-		s.blocked[i], s.done[i] = false, false
+		s.progress[i], s.blocked[i], s.waiters[i] = 0, false, -1
 	}
+	if words := 3 * ((n + 63) / 64); cap(s.due) < words {
+		s.due = make([]uint64, words)
+	} else {
+		s.due = s.due[:words]
+		clear(s.due)
+	}
+}
+
+// roundSet is the set of transactions due in one round, one bit each.
+type roundSet []uint64
+
+func (r roundSet) add(t int) { r[t>>6] |= 1 << (t & 63) }
+
+func (r roundSet) empty() bool {
+	for _, w := range r {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// park queues t behind holder, the transaction owning the key t waits for.
+func (s *lockSim) park(t, holder int) {
+	s.nextWait[t] = s.waiters[holder]
+	s.waiters[holder] = t
+}
+
+// wake makes the transactions parked on u due at the first turn at which
+// they can see u's keys free, u having just released them at its own turn:
+// later in this round above u, in the next round below it.
+func (s *lockSim) wake(u int, now, next roundSet) {
+	for w := s.waiters[u]; w >= 0; w = s.nextWait[w] {
+		if w > u {
+			now.add(w)
+		} else {
+			next.add(w)
+		}
+	}
+	s.waiters[u] = -1
 }
 
 // batchLockSim plays one batch of concurrent transactions against a fresh
@@ -292,6 +332,17 @@ func batchLockSim(writeSets [][]uint64) (conflicted, deadlocks int) {
 // short post-acquisition execution phase), and blocked transactions retry
 // after the holder commits. It returns how many transactions ever waited
 // and how many deadlocked.
+//
+// Each round takes transactions in ascending index, one lock request per
+// turn, but visits only those that can act in it; every turn it skips
+// would find its transaction executing or its key still held, and change
+// nothing. A granted transaction is due next round, one holding all its
+// locks at its commit round, holdRounds later. A blocked one parks on the
+// key's holder until the holder commits or aborts; if a third transaction
+// takes the key first, it parks on that one instead, without a wait-for
+// edge, as a blocked transaction that merely probed the key would. The
+// batch ends at roundCap, or when no round has anyone due: everyone left
+// is then parked behind someone parked, and nothing can change any more.
 func (s *lockSim) run(writeSets [][]uint64) (conflicted, deadlocks int) {
 	const holdRounds = 2 // execution time after the last lock, in rounds
 	n := len(writeSets)
@@ -304,47 +355,61 @@ func (s *lockSim) run(writeSets [][]uint64) (conflicted, deadlocks int) {
 	}
 	s.prepare(n, keys)
 	lt := &s.lt
-	progress := s.progress
-	blocked := s.blocked
-	commitAt := s.commitAt
-	done := s.done
+	progress, blocked := s.progress, s.blocked
+	// Due sets of this round, the next and the one after, the furthest a
+	// turn is ever scheduled ahead (holdRounds).
+	words := len(s.due) / 3
+	now, next, after := roundSet(s.due[:words]), roundSet(s.due[words:2*words]), roundSet(s.due[2*words:])
+	for t := 0; t < n; t++ {
+		now.add(t)
+	}
 	// Worst case is full serialization on one hot key: n·(holdRounds+1)
 	// rounds; beyond that something is livelocked and we cut off.
 	roundCap := n*(holdRounds+1) + 2*maxKeys + 16
-	remaining := n
-	for round := 0; remaining > 0 && round < roundCap; round++ {
-		remaining = 0
-		for t := 0; t < n; t++ {
-			if done[t] || lt.aborted[t] {
-				continue
-			}
-			remaining++
-			if progress[t] >= len(writeSets[t]) {
-				// Executing with all locks held; commit when done.
-				if round >= commitAt[t] {
+	for round := 0; round < roundCap; round++ {
+		// Wake-ups above the current index land in now while it is
+		// scanned, so the scan re-reads each word until it is empty.
+		for i := range now {
+			for now[i] != 0 {
+				b := bits.TrailingZeros64(now[i])
+				now[i] &^= 1 << b
+				t := i<<6 | b
+				ws := writeSets[t]
+				if progress[t] >= len(ws) {
+					// Executed with all locks held: commit.
 					lt.commit(t)
-					done[t] = true
-				}
-				continue
-			}
-			if blocked[t] {
-				// Retry the same key; succeeds once the holder released.
-				if o, held := lt.owner.get(writeSets[t][progress[t]]); held && o != t {
+					s.wake(t, now, next)
 					continue
 				}
-				blocked[t] = false
-			}
-			switch lt.acquire(t, writeSets[t][progress[t]]) {
-			case lockGranted:
-				progress[t]++
-				if progress[t] >= len(writeSets[t]) {
-					commitAt[t] = round + holdRounds
+				key := ws[progress[t]]
+				if blocked[t] {
+					// Woken: retry unless someone took the key first.
+					if o, held := lt.owner.get(key); held && o != t {
+						s.park(t, o)
+						continue
+					}
+					blocked[t] = false
 				}
-			case lockBlocked:
-				blocked[t] = true
-			case lockDeadlock:
-				// Victim aborted; its locks were released.
+				switch lt.acquire(t, key) {
+				case lockGranted:
+					progress[t]++
+					if progress[t] < len(ws) {
+						next.add(t)
+					} else {
+						after.add(t) // commit round
+					}
+				case lockBlocked:
+					blocked[t] = true
+					s.park(t, lt.waitFor[t])
+				case lockDeadlock:
+					// Victim aborted; its locks were released.
+					s.wake(t, now, next)
+				}
 			}
+		}
+		now, next, after = next, after, now
+		if now.empty() && next.empty() {
+			break
 		}
 	}
 	return lt.stats()

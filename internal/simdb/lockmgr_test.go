@@ -1,6 +1,8 @@
 package simdb
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,5 +154,309 @@ func TestBatchLockSimContentionScalesWithHotness(t *testing.T) {
 	}
 	if cold > 0.01 {
 		t.Fatalf("huge key space should barely conflict: %.3f", cold)
+	}
+}
+
+// roundRobin is the batch lock simulation as a plain round-robin loop, the
+// reference lockSim.run must match: every round gives every unfinished
+// transaction a turn, so a blocked transaction probes its key again at each
+// of its turns and a transaction executing after its last lock waits out
+// its turns until its commit round.
+type roundRobin struct {
+	lt       lockTable
+	progress []int
+	blocked  []bool
+	end      batchEnd
+}
+
+// batchEnd says how a batch stopped.
+type batchEnd int
+
+const (
+	endFinished   batchEnd = iota // every transaction committed or aborted
+	endStandstill                 // everyone left is blocked behind someone blocked
+	endRoundCap                   // cut at roundCap with turns still due
+	endAny        batchEnd = -1   // a test case that does not pin the end
+)
+
+func runRoundRobin(writeSets [][]uint64) *roundRobin {
+	const holdRounds = 2
+	n := len(writeSets)
+	maxKeys, keys := 0, 0
+	for _, ws := range writeSets {
+		maxKeys = max(maxKeys, len(ws))
+		keys += len(ws)
+	}
+	r := &roundRobin{progress: make([]int, n), blocked: make([]bool, n)}
+	r.lt.reset(n, keys)
+	lt, progress, blocked := &r.lt, r.progress, r.blocked
+	commitAt := make([]int, n)
+	done := make([]bool, n)
+	roundCap := n*(holdRounds+1) + 2*maxKeys + 16
+	remaining := n
+	for round := 0; remaining > 0 && round < roundCap; round++ {
+		remaining = 0
+		for t := 0; t < n; t++ {
+			if done[t] || lt.aborted[t] {
+				continue
+			}
+			remaining++
+			if progress[t] >= len(writeSets[t]) {
+				// Executing with all locks held; commit when done.
+				if round >= commitAt[t] {
+					lt.commit(t)
+					done[t] = true
+				}
+				continue
+			}
+			if blocked[t] {
+				// Retry the same key; succeeds once the holder released.
+				if o, held := lt.owner.get(writeSets[t][progress[t]]); held && o != t {
+					continue
+				}
+				blocked[t] = false
+			}
+			switch lt.acquire(t, writeSets[t][progress[t]]) {
+			case lockGranted:
+				progress[t]++
+				if progress[t] >= len(writeSets[t]) {
+					commitAt[t] = round + holdRounds
+				}
+			case lockBlocked:
+				blocked[t] = true
+			}
+		}
+	}
+	r.end = endFinished
+	for t := 0; t < n; t++ {
+		if done[t] || lt.aborted[t] {
+			continue
+		}
+		if !blocked[t] {
+			r.end = endRoundCap
+			break
+		}
+		r.end = endStandstill
+	}
+	return r
+}
+
+// lockSimDiff plays writeSets through lockSim.run and the round-robin
+// reference and describes the first difference in their results or final
+// state: counters, per-transaction progress and blocking, the lock table's
+// held keys, wait-for edges, waited and aborted flags, and every key's
+// owner. The lock table is deterministic, so equal final states after the
+// same batch mean the two loops made the same calls.
+func lockSimDiff(s *lockSim, writeSets [][]uint64) (string, batchEnd) {
+	cf, dl := s.run(writeSets)
+	ref := runRoundRobin(writeSets)
+	if rcf, rdl := ref.lt.stats(); cf != rcf || dl != rdl {
+		return fmt.Sprintf("(conflicted, deadlocks) = (%d, %d), round-robin (%d, %d)", cf, dl, rcf, rdl), ref.end
+	}
+	a, b := &s.lt, &ref.lt
+	for t := range writeSets {
+		switch {
+		case s.progress[t] != ref.progress[t]:
+			return fmt.Sprintf("txn %d progress %d, round-robin %d", t, s.progress[t], ref.progress[t]), ref.end
+		case s.blocked[t] != ref.blocked[t]:
+			return fmt.Sprintf("txn %d blocked %v, round-robin %v", t, s.blocked[t], ref.blocked[t]), ref.end
+		case !slices.Equal(a.held[t], b.held[t]):
+			return fmt.Sprintf("txn %d holds %v, round-robin %v", t, a.held[t], b.held[t]), ref.end
+		case a.waitFor[t] != b.waitFor[t] || a.waited[t] != b.waited[t] || a.aborted[t] != b.aborted[t]:
+			return fmt.Sprintf("txn %d (waitFor, waited, aborted) = (%d, %v, %v), round-robin (%d, %v, %v)", t,
+				a.waitFor[t], a.waited[t], a.aborted[t], b.waitFor[t], b.waited[t], b.aborted[t]), ref.end
+		}
+	}
+	if a.owner.n != b.owner.n {
+		return fmt.Sprintf("%d keys locked, round-robin %d", a.owner.n, b.owner.n), ref.end
+	}
+	for _, ws := range writeSets {
+		for _, k := range ws {
+			o, ok := a.owner.get(k)
+			ro, rok := b.owner.get(k)
+			if o != ro || ok != rok {
+				return fmt.Sprintf("key %d owned by (%d, %v), round-robin (%d, %v)", k, o, ok, ro, rok), ref.end
+			}
+		}
+	}
+	return "", ref.end
+}
+
+// randomLockBatch draws n write sets of up to maxLen keys each, from a hot
+// range of hot keys and a cold range above 1<<32, as the engine's batches
+// do; each set is sorted with probability ½.
+func randomLockBatch(rng *sim.RNG, n, hot, maxLen int) [][]uint64 {
+	ws := make([][]uint64, n)
+	for t := range ws {
+		m := rng.Intn(maxLen + 1)
+		for j := 0; j < m; j++ {
+			if rng.Intn(3) == 0 {
+				ws[t] = append(ws[t], uint64(rng.Intn(hot)))
+			} else {
+				ws[t] = append(ws[t], 1<<32+uint64(rng.Intn(1<<20)))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			sortUint64(ws[t])
+		}
+	}
+	return ws
+}
+
+// TestLockSimMatchesRoundRobin plays hand-built batches for each way a
+// batch can end, then a seeded random corpus, through one reused lockSim
+// and the round-robin reference.
+func TestLockSimMatchesRoundRobin(t *testing.T) {
+	const a, b = 1, 2
+	// Ten transactions serialize on key 0, each then locking ten more rows:
+	// the sixth is still locking when roundCap (68 rounds) cuts the batch.
+	serial := make([][]uint64, 10)
+	for i := range serial {
+		serial[i] = []uint64{0}
+		for j := 1; j <= 10; j++ {
+			serial[i] = append(serial[i], 1<<32+uint64(100*i+j))
+		}
+	}
+	// 120-key write sets (TPC-C's delivery) crossing on a small hot range.
+	rng := sim.NewRNG(5)
+	wide := randomLockBatch(rng, 24, 4, 8)
+	for i := 0; i < len(wide); i += 4 {
+		wide[i] = wide[i][:0]
+		for len(wide[i]) < 120 {
+			wide[i] = append(wide[i], uint64(rng.Intn(4)), 1<<32+uint64(rng.Intn(64)))
+		}
+	}
+	cases := []struct {
+		name string
+		ws   [][]uint64
+		end  batchEnd
+	}{
+		// T2 blocks on T1's B in round 0, T0 in round 1; T1 then requests
+		// T0's A and is the deadlock victim. Its release wakes T2 later in
+		// round 1 and T0 in round 2, where T0 finds B taken by T2.
+		{"victim wakes both sides", [][]uint64{{a, b}, {b, a}, {b}}, endFinished},
+		// As above, but T2 then requests T0's A: T0 parked on T2 without a
+		// wait-for edge, so the cycle goes undetected.
+		{"standstill", [][]uint64{{a, b}, {b, a}, {b, a}}, endStandstill},
+		{"roundCap", serial, endRoundCap},
+		{"repeated key", [][]uint64{{5, 5, 9}, {9, 5, 9}, {7, 5, 7, 5}, {5}}, endFinished},
+		{"empty sets", [][]uint64{{}, {1}, nil, {1, 2}, {}}, endFinished},
+		{"crossing", [][]uint64{{1, 2}, {2, 1}}, endFinished},
+		{"120 keys", wide, endAny},
+		{"256 txns", randomLockBatch(rng, 256, 16, 6), endAny},
+		{"256 txns hot", randomLockBatch(rng, 256, 2, 3), endAny},
+		{"no txns", nil, endFinished},
+	}
+	var s lockSim
+	for _, c := range cases {
+		diff, end := lockSimDiff(&s, c.ws)
+		if diff != "" {
+			t.Errorf("%s: %s", c.name, diff)
+		}
+		if c.end != endAny && end != c.end {
+			t.Errorf("%s: batch ended %d, want %d", c.name, end, c.end)
+		}
+	}
+
+	// The random corpus must itself reach every end.
+	var ends [3]int
+	for i := 0; i < 3000; i++ {
+		n := 1 + rng.Intn([]int{4, 16, 64, 300}[i%4])
+		ws := randomLockBatch(rng, n, 1+rng.Intn(40), []int{2, 6, 24, 130}[rng.Intn(4)])
+		diff, end := lockSimDiff(&s, ws)
+		if diff != "" {
+			t.Fatalf("batch %d (%d txns): %s", i, n, diff)
+		}
+		ends[end]++
+	}
+	for end, c := range ends {
+		if c == 0 {
+			t.Errorf("random corpus has no batch ending %d (ends %v)", end, ends)
+		}
+	}
+}
+
+// decodeLockBatch turns fuzz bytes into a batch of at most 256 write sets.
+// Byte 0 is the transaction count less one and byte 1 picks a hot range of
+// 1–32 keys. Each transaction then reads a length byte (0–130 keys), a flag
+// byte whose low bit sorts the set, and its keys: an even byte names a hot
+// key, an odd one together with the byte after it one of 2^15 cold keys
+// above 1<<32. Decoding stops where the bytes do.
+func decodeLockBatch(data []byte) [][]uint64 {
+	if len(data) < 2 {
+		return nil
+	}
+	n, hot := int(data[0])+1, uint64(data[1]%32)+1
+	data = data[2:]
+	var ws [][]uint64
+	for len(ws) < n && len(data) >= 2 {
+		m, sorted := int(data[0])%131, data[1]&1 == 1
+		data = data[2:]
+		set := []uint64{}
+		for len(set) < m && len(data) > 0 {
+			c := data[0]
+			data = data[1:]
+			if c&1 == 0 {
+				set = append(set, uint64(c>>1)%hot)
+				continue
+			}
+			var lo byte
+			if len(data) > 0 {
+				lo, data = data[0], data[1:]
+			}
+			set = append(set, 1<<32|uint64(c>>1)<<8|uint64(lo))
+		}
+		if sorted {
+			sortUint64(set)
+		}
+		ws = append(ws, set)
+	}
+	return ws
+}
+
+// FuzzLockSimMatchesRoundRobin checks lockSim.run against the round-robin
+// reference on arbitrary batches.
+func FuzzLockSimMatchesRoundRobin(f *testing.F) {
+	f.Add([]byte{2, 1, 2, 0, 0, 2, 2, 0, 2, 0, 2, 0, 2, 0}) // the standstill case
+	f.Add([]byte{1, 1, 2, 0, 0, 2, 2, 0, 2, 0})             // crossing pair
+	f.Add([]byte{3, 0, 0, 0, 3, 1, 7, 3, 9, 1, 1, 5, 2})    // empty and cold sets
+	// 256 transactions of up to 7 keys.
+	full := []byte{255, 3}
+	rng := sim.NewRNG(3)
+	for t := 0; t < 256; t++ {
+		m := rng.Intn(8)
+		full = append(full, byte(m), byte(rng.Intn(2)))
+		for j := 0; j < m; j++ {
+			c := byte(rng.Intn(256))
+			full = append(full, c)
+			if c&1 == 1 {
+				full = append(full, byte(rng.Intn(256)))
+			}
+		}
+	}
+	f.Add(full)
+	var s lockSim
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if diff, _ := lockSimDiff(&s, decodeLockBatch(data)); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}
+
+// TestLockSimAllocs: a warm lockSim.run allocates nothing, also after its
+// batch grew and shrank again.
+func TestLockSimAllocs(t *testing.T) {
+	rng := sim.NewRNG(1)
+	small, large := tpccLockBatch(rng), sysbenchLockBatch(rng)
+	var s lockSim
+	s.run(small)
+	s.run(large)
+	for _, c := range []struct {
+		name string
+		ws   [][]uint64
+	}{{"shrunk", small}, {"grown", large}} {
+		if allocs := testing.AllocsPerRun(20, func() { s.run(c.ws) }); allocs != 0 {
+			t.Errorf("%s: lockSim.run allocates %v times per batch, want 0", c.name, allocs)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Quickstart: tune a simulated MySQL cloud database for TPC-C with one
 // cloned instance and print the recommendation. Everything — the database,
 // the workload, the cloud control plane — is simulated under a virtual
-// clock, so the "8 hours" of tuning complete in seconds.
+// clock, so the "12 hours" of tuning complete in seconds.
 package main
 
 import (
@@ -16,7 +16,7 @@ func main() {
 	res, err := hunter.Tune(hunter.Request{
 		Dialect:  hunter.MySQL,
 		Workload: hunter.TPCC(),
-		Budget:   8 * time.Hour, // virtual time
+		Budget:   12 * time.Hour, // virtual time
 		Clones:   1,
 		Seed:     1,
 	})

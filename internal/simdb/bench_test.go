@@ -1,6 +1,7 @@
 package simdb
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hunter-cdb/hunter/internal/knob"
@@ -90,7 +91,7 @@ func engineWriteSet(rng *sim.RNG, rows *sim.Zipf, writes, hot int, hotSet int64)
 		ws = append(ws, rows.Next()+1<<32)
 	}
 	if rng.Float64() < 0.92 || len(ws) > 8 {
-		sortUint64(ws)
+		slices.Sort(ws)
 	}
 	return ws
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -174,7 +175,7 @@ type accessPlan struct {
 	writeFraction                              float64
 	txns                                       int // measurement transactions
 	weightSum                                  float64
-	cumWeight                                  []float64 // PickClass-compatible cumulative weights
+	cumWeight                                  []float64 // cumulative class weights, see pickClass
 	scanPages                                  []int     // per-class pages accessed per range scan
 }
 
@@ -227,8 +228,8 @@ func (e *Engine) planFor(p *workload.Profile, sh simShape) *accessPlan {
 	return pl
 }
 
-// pickClass selects a class index from u ∈ [0,1) using the cached
-// cumulative weights — identical arithmetic to workload.Profile.PickClass.
+// pickClass selects a class index from u ∈ [0,1): the first class whose
+// cumulative weight exceeds u times the total, the last one if none does.
 func (pl *accessPlan) pickClass(u float64) int {
 	target := u * pl.weightSum
 	for i, acc := range pl.cumWeight {
@@ -491,7 +492,7 @@ func (e *Engine) measurePool(p *workload.Profile, sh simShape, pl *accessPlan) m
 			// code paths lock in arrival order and cause the occasional
 			// real deadlock, as in production OLTP.
 			if e.rng.Float64() < 0.92 || len(ws) > 8 {
-				sortUint64(ws)
+				slices.Sort(ws)
 			}
 			writeSets[t] = ws
 		}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/hunter-cdb/hunter/internal/knob"
 	"github.com/hunter-cdb/hunter/internal/metrics"
+	"github.com/hunter-cdb/hunter/internal/sim"
 	"github.com/hunter-cdb/hunter/internal/workload"
 )
 
@@ -79,6 +80,30 @@ func TestEngineConfigureBootFailureKeepsOldConfig(t *testing.T) {
 	// Engine still serves on the old configuration.
 	if _, _, err := e.Run(workload.SysbenchRO()); err != nil {
 		t.Fatalf("engine broken after failed configure: %v", err)
+	}
+}
+
+// TestPickClassDistribution: the class picker of the access plan, which
+// draws every stress-test transaction's class, follows the mix weights.
+func TestPickClassDistribution(t *testing.T) {
+	e, err := NewEngine(MySQL, referenceMySQL(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workload.TPCC()
+	pl := e.planFor(p, e.shape(p))
+	counts := make([]int, len(p.Mix))
+	rng := sim.NewRNG(1)
+	const n = 100000
+	for i := 0; i < n; i++ {
+		counts[pl.pickClass(rng.Float64())]++
+	}
+	// NewOrder weight 45/100.
+	if frac := float64(counts[0]) / n; math.Abs(frac-0.45) > 0.01 {
+		t.Fatalf("new_order frequency %.3f, want ≈0.45", frac)
+	}
+	if c := pl.pickClass(0.9999); c < 0 || c >= len(p.Mix) {
+		t.Fatalf("u near 1 picked class %d of %d", c, len(p.Mix))
 	}
 }
 

@@ -9,21 +9,24 @@ import "math/bits"
 // blocks behind the holder, and a cycle in the wait-for graph is a
 // deadlock (InnoDB detects these immediately; PostgreSQL after
 // deadlock_timeout).
+//
+// Every transaction with a wait-for edge into u sits in u's waiter list,
+// put there by the acquire that drew the edge (lockSim also parks there,
+// edgeless, a woken waiter that finds its key taken by u). u's release
+// clears the edges of its list; lockSim's wake then empties it. Lists stay
+// intact until then: a transaction releases once per batch, and a blocked
+// one requests nothing until its holder has released.
 type lockTable struct {
-	owner   lockOwners // key → owning transaction
-	held    [][]uint64 // per-txn held keys
-	waitFor []int      // blocked txn → txn it waits on (-1: none)
-	waited  []bool     // txns that blocked at least once
-	aborted []bool
+	owner    lockOwners // key → owning transaction
+	held     [][]uint64 // per-txn held keys
+	waitFor  []int      // blocked txn → txn it waits on (-1: none)
+	waiters  []int      // holder → first transaction parked on it (-1: none)
+	nextWait []int      // parked transaction → next one parked on its holder
+	waited   []bool     // txns that blocked at least once
+	aborted  []bool
 
 	deadlocks int
 	nWaited   int
-}
-
-func newLockTable(n int) *lockTable {
-	lt := &lockTable{}
-	lt.reset(n, n)
-	return lt
 }
 
 // reset prepares the table for a fresh batch of n transactions that write
@@ -36,17 +39,21 @@ func (lt *lockTable) reset(n, keys int) {
 	if cap(lt.held) < n {
 		lt.held = make([][]uint64, n)
 		lt.waitFor = make([]int, n)
+		lt.waiters = make([]int, n)
+		lt.nextWait = make([]int, n)
 		lt.waited = make([]bool, n)
 		lt.aborted = make([]bool, n)
 	} else {
 		lt.held = lt.held[:n]
 		lt.waitFor = lt.waitFor[:n]
+		lt.waiters = lt.waiters[:n]
+		lt.nextWait = lt.nextWait[:n]
 		lt.waited = lt.waited[:n]
 		lt.aborted = lt.aborted[:n]
 	}
 	for i := 0; i < n; i++ {
 		lt.held[i] = lt.held[i][:0]
-		lt.waitFor[i] = -1
+		lt.waitFor[i], lt.waiters[i] = -1, -1
 		lt.waited[i] = false
 		lt.aborted[i] = false
 	}
@@ -167,9 +174,10 @@ const (
 )
 
 // acquire requests an exclusive lock on key for txn. On conflict the
-// transaction blocks behind the holder; if that wait would close a cycle
-// in the wait-for graph, the requester is aborted as the deadlock victim
-// (its locks are released, possibly waking other waiters' paths).
+// transaction blocks behind the holder, parked in its waiter list; if that
+// wait would close a cycle in the wait-for graph, the requester is aborted
+// as the deadlock victim (its locks are released, possibly waking other
+// waiters' paths).
 func (lt *lockTable) acquire(txn int, key uint64) acquireResult {
 	if lt.aborted[txn] {
 		return lockDeadlock
@@ -203,7 +211,14 @@ func (lt *lockTable) acquire(txn int, key uint64) acquireResult {
 		hops++
 	}
 	lt.waitFor[txn] = holder
+	lt.park(txn, holder)
 	return lockBlocked
+}
+
+// park queues txn in holder's waiter list.
+func (lt *lockTable) park(txn, holder int) {
+	lt.nextWait[txn] = lt.waiters[holder]
+	lt.waiters[holder] = txn
 }
 
 // abort releases everything txn holds and removes it from the graph.
@@ -224,26 +239,14 @@ func (lt *lockTable) release(txn int) {
 	lt.held[txn] = lt.held[txn][:0]
 	lt.waitFor[txn] = -1
 	// Waiters blocked on txn are now unblocked (they will retry).
-	for w, h := range lt.waitFor {
-		if h == txn {
-			lt.waitFor[w] = -1
-		}
+	for w := lt.waiters[txn]; w >= 0; w = lt.nextWait[w] {
+		lt.waitFor[w] = -1
 	}
 }
 
 // stats summarizes a batch.
 func (lt *lockTable) stats() (conflicted, deadlocks int) {
 	return lt.nWaited, lt.deadlocks
-}
-
-// sortUint64 sorts a small key slice in place (insertion sort: write sets
-// are short and this sits on the measurement hot path).
-func sortUint64(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // lockSim is the reusable state of the batch lock simulation: one lock
@@ -253,8 +256,6 @@ type lockSim struct {
 	lt       lockTable
 	progress []int    // index of each transaction's next key to lock
 	blocked  []bool   // waiting for writeSets[t][progress[t]]
-	waiters  []int    // holder → first transaction parked on it (-1: none)
-	nextWait []int    // parked transaction → next one parked on its holder
 	due      []uint64 // three round bitsets back to back, see run
 }
 
@@ -265,16 +266,12 @@ func (s *lockSim) prepare(n, keys int) {
 	if cap(s.progress) < n {
 		s.progress = make([]int, n)
 		s.blocked = make([]bool, n)
-		s.waiters = make([]int, n)
-		s.nextWait = make([]int, n)
 	} else {
 		s.progress = s.progress[:n]
 		s.blocked = s.blocked[:n]
-		s.waiters = s.waiters[:n]
-		s.nextWait = s.nextWait[:n]
 	}
 	for i := 0; i < n; i++ {
-		s.progress[i], s.blocked[i], s.waiters[i] = 0, false, -1
+		s.progress[i], s.blocked[i] = 0, false
 	}
 	if words := 3 * ((n + 63) / 64); cap(s.due) < words {
 		s.due = make([]uint64, words)
@@ -298,32 +295,19 @@ func (r roundSet) empty() bool {
 	return true
 }
 
-// park queues t behind holder, the transaction owning the key t waits for.
-func (s *lockSim) park(t, holder int) {
-	s.nextWait[t] = s.waiters[holder]
-	s.waiters[holder] = t
-}
-
-// wake makes the transactions parked on u due at the first turn at which
-// they can see u's keys free, u having just released them at its own turn:
-// later in this round above u, in the next round below it.
+// wake empties u's waiter list, making its transactions due at the first
+// turn at which they can see u's keys free, u having just released them at
+// its own turn: later in this round above u, in the next round below it.
 func (s *lockSim) wake(u int, now, next roundSet) {
-	for w := s.waiters[u]; w >= 0; w = s.nextWait[w] {
+	lt := &s.lt
+	for w := lt.waiters[u]; w >= 0; w = lt.nextWait[w] {
 		if w > u {
 			now.add(w)
 		} else {
 			next.add(w)
 		}
 	}
-	s.waiters[u] = -1
-}
-
-// batchLockSim plays one batch of concurrent transactions against a fresh
-// lock table (convenience wrapper over lockSim for tests and one-shot
-// callers).
-func batchLockSim(writeSets [][]uint64) (conflicted, deadlocks int) {
-	var s lockSim
-	return s.run(writeSets)
+	lt.waiters[u] = -1
 }
 
 // run plays one batch of concurrent transactions: transactions acquire
@@ -385,7 +369,7 @@ func (s *lockSim) run(writeSets [][]uint64) (conflicted, deadlocks int) {
 				if blocked[t] {
 					// Woken: retry unless someone took the key first.
 					if o, held := lt.owner.get(key); held && o != t {
-						s.park(t, o)
+						lt.park(t, o)
 						continue
 					}
 					blocked[t] = false
@@ -399,8 +383,7 @@ func (s *lockSim) run(writeSets [][]uint64) (conflicted, deadlocks int) {
 						after.add(t) // commit round
 					}
 				case lockBlocked:
-					blocked[t] = true
-					s.park(t, lt.waitFor[t])
+					blocked[t] = true // parked on the holder by acquire
 				case lockDeadlock:
 					// Victim aborted; its locks were released.
 					s.wake(t, now, next)

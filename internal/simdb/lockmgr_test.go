@@ -10,7 +10,8 @@ import (
 )
 
 func TestLockAcquireGrantAndReentry(t *testing.T) {
-	lt := newLockTable(8)
+	var lt lockTable
+	lt.reset(8, 8)
 	if lt.acquire(1, 100) != lockGranted {
 		t.Fatal("fresh lock should grant")
 	}
@@ -28,7 +29,8 @@ func TestLockAcquireGrantAndReentry(t *testing.T) {
 
 func TestLockDeadlockTwoTxns(t *testing.T) {
 	// Classic crossing: T1 holds A and wants B; T2 holds B and wants A.
-	lt := newLockTable(8)
+	var lt lockTable
+	lt.reset(8, 8)
 	if lt.acquire(1, 'A') != lockGranted || lt.acquire(2, 'B') != lockGranted {
 		t.Fatal("setup grants failed")
 	}
@@ -48,7 +50,8 @@ func TestLockDeadlockTwoTxns(t *testing.T) {
 }
 
 func TestLockDeadlockThreeCycle(t *testing.T) {
-	lt := newLockTable(8)
+	var lt lockTable
+	lt.reset(8, 8)
 	lt.acquire(1, 'A')
 	lt.acquire(2, 'B')
 	lt.acquire(3, 'C')
@@ -65,7 +68,8 @@ func TestLockDeadlockThreeCycle(t *testing.T) {
 
 func TestLockNoFalseDeadlock(t *testing.T) {
 	// A chain (1 waits on 2, 2 waits on 3) is not a cycle.
-	lt := newLockTable(8)
+	var lt lockTable
+	lt.reset(8, 8)
 	lt.acquire(3, 'C')
 	lt.acquire(2, 'B')
 	if lt.acquire(2, 'C') != lockBlocked {
@@ -79,9 +83,34 @@ func TestLockNoFalseDeadlock(t *testing.T) {
 	}
 }
 
+// TestLockReleaseClearsOnlyItsWaiters: a release clears the wait-for edges
+// into the releaser, all of them and no others. No lock decision reads a
+// cleared edge, so the batch tests cannot see this.
+func TestLockReleaseClearsOnlyItsWaiters(t *testing.T) {
+	// T0 holds A and T2 holds B; T1 and T4 block on A, T3 on B.
+	var lt lockTable
+	lt.reset(5, 2)
+	if lt.acquire(0, 'A') != lockGranted || lt.acquire(2, 'B') != lockGranted {
+		t.Fatal("setup grants failed")
+	}
+	if lt.acquire(1, 'A') != lockBlocked || lt.acquire(3, 'B') != lockBlocked || lt.acquire(4, 'A') != lockBlocked {
+		t.Fatal("T1 and T4 should block on A, T3 on B")
+	}
+	lt.commit(0)
+	for txn, want := range []int{-1, -1, -1, 2, -1} {
+		if lt.waitFor[txn] != want {
+			t.Errorf("after T0 committed, T%d waits on %d, want %d", txn, lt.waitFor[txn], want)
+		}
+	}
+	if lt.acquire(1, 'A') != lockGranted {
+		t.Error("T1 should be granted A once T0 released it")
+	}
+}
+
 func TestBatchLockSimDisjointKeysNoConflict(t *testing.T) {
 	ws := [][]uint64{{1, 2}, {3, 4}, {5, 6}}
-	cf, dl := batchLockSim(ws)
+	var s lockSim
+	cf, dl := s.run(ws)
 	if cf != 0 || dl != 0 {
 		t.Fatalf("disjoint write sets conflicted: %d/%d", cf, dl)
 	}
@@ -91,7 +120,8 @@ func TestBatchLockSimHotKeyConflicts(t *testing.T) {
 	// Everyone updates the same row: all but the first wait; no deadlock
 	// (single-key ordering cannot cycle).
 	ws := [][]uint64{{7}, {7}, {7}, {7}}
-	cf, dl := batchLockSim(ws)
+	var s lockSim
+	cf, dl := s.run(ws)
 	if cf != 3 {
 		t.Fatalf("conflicted = %d, want 3", cf)
 	}
@@ -104,7 +134,8 @@ func TestBatchLockSimCrossingDeadlocks(t *testing.T) {
 	// Two transactions acquiring {A,B} in opposite orders must produce a
 	// deadlock under round-robin interleaving.
 	ws := [][]uint64{{1, 2}, {2, 1}}
-	cf, dl := batchLockSim(ws)
+	var s lockSim
+	cf, dl := s.run(ws)
 	if dl != 1 {
 		t.Fatalf("deadlocks = %d, want 1 (conflicted %d)", dl, cf)
 	}
@@ -113,6 +144,7 @@ func TestBatchLockSimCrossingDeadlocks(t *testing.T) {
 // TestBatchLockSimTerminatesProperty: arbitrary write sets must terminate
 // (every transaction either finishes or is aborted) with sane counters.
 func TestBatchLockSimTerminatesProperty(t *testing.T) {
+	var s lockSim
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		rng := sim.NewRNG(seed)
 		n := int(nRaw)%24 + 2
@@ -124,7 +156,7 @@ func TestBatchLockSimTerminatesProperty(t *testing.T) {
 				ws[i] = append(ws[i], uint64(rng.Intn(keys)))
 			}
 		}
-		cf, dl := batchLockSim(ws)
+		cf, dl := s.run(ws)
 		return cf >= 0 && cf <= n && dl >= 0 && dl <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -134,6 +166,7 @@ func TestBatchLockSimTerminatesProperty(t *testing.T) {
 
 func TestBatchLockSimContentionScalesWithHotness(t *testing.T) {
 	rng := sim.NewRNG(9)
+	var s lockSim
 	run := func(keySpace int64) float64 {
 		var conflicted, total int
 		for b := 0; b < 50; b++ {
@@ -141,7 +174,7 @@ func TestBatchLockSimContentionScalesWithHotness(t *testing.T) {
 			for i := range ws {
 				ws[i] = []uint64{uint64(rng.Int63n(keySpace)), uint64(rng.Int63n(keySpace))}
 			}
-			cf, _ := batchLockSim(ws)
+			cf, _ := s.run(ws)
 			conflicted += cf
 			total += 16
 		}
@@ -297,7 +330,7 @@ func randomLockBatch(rng *sim.RNG, n, hot, maxLen int) [][]uint64 {
 			}
 		}
 		if rng.Intn(2) == 0 {
-			sortUint64(ws[t])
+			slices.Sort(ws[t])
 		}
 	}
 	return ws
@@ -407,7 +440,7 @@ func decodeLockBatch(data []byte) [][]uint64 {
 			set = append(set, 1<<32|uint64(c>>1)<<8|uint64(lo))
 		}
 		if sorted {
-			sortUint64(set)
+			slices.Sort(set)
 		}
 		ws = append(ws, set)
 	}

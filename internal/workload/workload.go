@@ -152,20 +152,3 @@ func (p *Profile) WriteFraction() float64 {
 	}
 	return wr / total
 }
-
-// PickClass deterministically selects a class index from u ∈ [0,1).
-func (p *Profile) PickClass(u float64) int {
-	var w float64
-	for _, c := range p.Mix {
-		w += c.Weight
-	}
-	target := u * w
-	var acc float64
-	for i, c := range p.Mix {
-		acc += c.Weight
-		if target < acc {
-			return i
-		}
-	}
-	return len(p.Mix) - 1
-}

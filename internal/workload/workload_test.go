@@ -98,23 +98,6 @@ func TestAveragesWeighting(t *testing.T) {
 	}
 }
 
-func TestPickClassDistribution(t *testing.T) {
-	p := TPCC()
-	counts := make([]int, len(p.Mix))
-	rng := sim.NewRNG(1)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[p.PickClass(rng.Float64())]++
-	}
-	// NewOrder weight 45/100.
-	if frac := float64(counts[0]) / n; math.Abs(frac-0.45) > 0.01 {
-		t.Fatalf("new_order frequency %.3f, want ≈0.45", frac)
-	}
-	if p.PickClass(0.9999) != len(p.Mix)-1 && p.PickClass(0.9999) < 0 {
-		t.Fatal("u near 1 must return a valid class")
-	}
-}
-
 func TestEffectiveThreads(t *testing.T) {
 	p := &Profile{Threads: 256, ReplayConcurrency: 40}
 	if p.EffectiveThreads() != 40 {
